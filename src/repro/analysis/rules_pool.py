@@ -1,18 +1,18 @@
 """REP005 — pool-boundary hygiene: only module-level callables cross the pool.
 
-Campaign cells and parallel evaluation fan out over a
-``ProcessPoolExecutor``; everything submitted must be picklable by reference.
-Lambdas, closures and locally-defined functions pickle either not at all or
-— worse, with helpers like cloudpickle — by value, silently shipping captured
-state whose identity differs per worker.  The multi-host workers on the
-roadmap make this a wire protocol, so the boundary is enforced statically:
+Campaign cells fan out over a ``ProcessPoolExecutor``; everything submitted
+must be picklable by reference.  Lambdas, closures and locally-defined
+functions pickle either not at all or — worse, with helpers like cloudpickle —
+by value, silently shipping captured state whose identity differs per worker.
+The multi-host workers on the roadmap make this a wire protocol, so the
+boundary is enforced statically:
 
 * ``pool.submit(fn, ...)`` / ``pool.map(fn, ...)`` where ``fn`` is a lambda,
   a function defined inside another function, or ``functools.partial`` over
   either, is flagged;
 * a *pool* is a name bound from ``ProcessPoolExecutor(...)`` (``with ... as
   pool``, assignment, annotation) or any receiver whose name contains
-  ``pool`` or ``executor`` — covering helper methods like ``_worker_pool()``.
+  ``pool`` or ``executor`` — covering factory helpers like ``_cell_pool()``.
 """
 
 from __future__ import annotations
@@ -88,7 +88,7 @@ class PoolBoundaryRule(Rule):
         if isinstance(node, ast.Name):
             return node.id in self._pool_names or _name_looks_poolish(node.id)
         if isinstance(node, ast.Call):
-            # e.g. self._worker_pool(n).map(...): the factory names the pool.
+            # e.g. self._cell_pool(n).map(...): the factory names the pool.
             resolved = self.context.resolve_call(node.func)
             return resolved is not None and _name_looks_poolish(resolved.rsplit(".", 1)[-1])
         if isinstance(node, ast.Attribute):

@@ -107,9 +107,9 @@ class PopulationOptimizer:
 
         The whole initial population is scored through one
         :meth:`evaluate_batch` call so problems with a batch evaluation path
-        (shared routing reuse, cache partitioning, parallel workers) are used
-        at full effect.  With ``batch_evaluation=False`` every design is scored
-        through a scalar :meth:`evaluate` call instead.
+        (shared routing reuse, cache partitioning) are used at full effect.
+        With ``batch_evaluation=False`` every design is scored through a
+        scalar :meth:`evaluate` call instead.
         """
         self.designs = self.repair_brood(
             [self.problem.random_design(self.rng) for _ in range(self.population_size)]

@@ -37,7 +37,7 @@ class Problem(ABC):
         """Objective matrix (``len(designs) x num_objectives``) for a batch.
 
         The default loops over :meth:`evaluate`; problems with a cheaper batch
-        path (shared routing, caching, parallelism) should override this —
+        path (shared routing, caching) should override this —
         optimisers route all population-scale evaluation through it.
         """
         return np.array([self.evaluate(design) for design in designs], dtype=np.float64)

@@ -108,7 +108,6 @@ _CAMPAIGN_KEYS: tuple[str, ...] = (
     "output_dir",
     "max_workers",
     "resume",
-    "parallel_evaluation",
     "event_log",
     "shared_routing_cache",
     "routing_warm_start",
@@ -129,6 +128,20 @@ def resolve_platform(platform: "str | PlatformConfig") -> PlatformConfig:
         known = ", ".join(sorted(set(PLATFORM_FACTORIES)))
         raise ValueError(f"unknown platform {platform!r}; available: {known}")
     return factory()
+
+
+def _typed(section: Mapping[str, Any], key: str, kind: type, default: Any) -> Any:
+    """A study-file value of exactly ``kind``, or ``default`` when absent.
+
+    No coercion: ``"false"`` is not a bool and ``2.9`` (or ``True``) is not
+    an int, so a mistyped value fails loudly instead of flipping a setting.
+    """
+    if key not in section:
+        return default
+    value = section[key]
+    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
+        raise ValueError(f"study key {key!r} must be a {kind.__name__}, got {value!r}")
+    return value
 
 
 def _normalize_objectives(objectives: "int | list[int] | tuple[int, ...]") -> tuple[int, ...]:
@@ -306,7 +319,6 @@ class Study:
         output_dir: "str | Path",
         max_workers: int = 1,
         resume: bool = True,
-        parallel_evaluation: "bool | None" = None,
         event_log: bool = True,
         shared_routing_cache: bool = True,
         routing_warm_start: bool = False,
@@ -330,7 +342,6 @@ class Study:
             "output_dir": str(output_dir),
             "max_workers": int(max_workers),
             "resume": bool(resume),
-            "parallel_evaluation": parallel_evaluation,
             "event_log": bool(event_log),
             "shared_routing_cache": bool(shared_routing_cache),
             "routing_warm_start": bool(routing_warm_start),
@@ -354,7 +365,8 @@ class Study:
 
         Unknown keys — top-level, inside ``campaign``, or an unknown
         algorithm/hyperparameter — raise ``ValueError`` with the accepted
-        names, so a typo in a config file fails loudly.
+        names, so a typo in a config file fails loudly.  Boolean and integer
+        keys must carry a real ``bool``/``int`` (see :func:`_typed`).
         """
         unknown = sorted(set(payload) - set(_STUDY_KEYS))
         if unknown:
@@ -369,11 +381,11 @@ class Study:
             objectives=payload.get("objectives"),
             apps=payload.get("applications"),
             preset=str(payload.get("preset", "reduced")),
-            population_size=payload.get("population_size"),
-            evaluations=payload.get("evaluations"),
-            seed=payload.get("seed"),
+            population_size=_typed(payload, "population_size", int, None),
+            evaluations=_typed(payload, "evaluations", int, None),
+            seed=_typed(payload, "seed", int, None),
             scenarios=payload.get("scenarios"),
-            routing_cache=bool(payload.get("routing_cache", True)),
+            routing_cache=_typed(payload, "routing_cache", bool, True),
         )
         for entry in payload.get("algorithms", ()):
             if isinstance(entry, str):
@@ -400,16 +412,17 @@ class Study:
                 raise ValueError("campaign configuration requires an output_dir")
             study.campaign(
                 campaign["output_dir"],
-                max_workers=int(campaign.get("max_workers", 1)),
-                resume=bool(campaign.get("resume", True)),
-                parallel_evaluation=campaign.get("parallel_evaluation"),
-                event_log=bool(campaign.get("event_log", True)),
-                shared_routing_cache=bool(campaign.get("shared_routing_cache", True)),
-                routing_warm_start=bool(campaign.get("routing_warm_start", False)),
-                repair_infeasible=bool(campaign.get("repair_infeasible", False)),
-                repair_max_rounds=int(campaign.get("repair_max_rounds", 4)),
-                repair_candidates_per_round=int(campaign.get("repair_candidates_per_round", 8)),
-                repair_max_evaluations=int(campaign.get("repair_max_evaluations", 32)),
+                max_workers=_typed(campaign, "max_workers", int, 1),
+                resume=_typed(campaign, "resume", bool, True),
+                event_log=_typed(campaign, "event_log", bool, True),
+                shared_routing_cache=_typed(campaign, "shared_routing_cache", bool, True),
+                routing_warm_start=_typed(campaign, "routing_warm_start", bool, False),
+                repair_infeasible=_typed(campaign, "repair_infeasible", bool, False),
+                repair_max_rounds=_typed(campaign, "repair_max_rounds", int, 4),
+                repair_candidates_per_round=_typed(
+                    campaign, "repair_candidates_per_round", int, 8
+                ),
+                repair_max_evaluations=_typed(campaign, "repair_max_evaluations", int, 32),
             )
         return study
 
@@ -466,7 +479,7 @@ class Study:
         if not self._routing_cache:
             payload["routing_cache"] = False
         if self._campaign is not None:
-            campaign = {k: v for k, v in self._campaign.items() if v is not None}
+            campaign = dict(self._campaign)
             if campaign.get("resume") is True:
                 del campaign["resume"]
             if campaign.get("max_workers") == 1:
@@ -534,7 +547,6 @@ class Study:
             algorithms=tuple(entry.name for entry in entries),
             max_workers=self._campaign["max_workers"],
             resume=self._campaign["resume"],
-            parallel_evaluation=self._campaign["parallel_evaluation"],
             routing_cache=self._routing_cache,
             event_log=self._campaign.get("event_log", True),
             shared_routing_cache=self._campaign.get("shared_routing_cache", True),

@@ -1,6 +1,7 @@
 """Tests for the Study façade: equivalence, round-trips, campaigns, plug-ins."""
 
 import json
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -68,9 +69,34 @@ class TestStudyValidation:
         with pytest.raises(ValueError, match="available: MOELA"):
             Study.from_dict({"algorithms": ["NOPE"]})
 
-    def test_from_dict_unknown_campaign_key_raises(self):
-        with pytest.raises(ValueError, match="unknown campaign keys"):
-            Study.from_dict({"campaign": {"output_dir": "x", "turbo": True}})
+    @pytest.mark.parametrize("key", ["turbo", "parallel_evaluation"])
+    def test_from_dict_unknown_campaign_key_raises(self, key):
+        with pytest.raises(ValueError, match=rf"unknown campaign keys \['{key}'\]"):
+            Study.from_dict({"campaign": {"output_dir": "x", key: True}})
+
+    @pytest.mark.parametrize(
+        "payload, key, value",
+        [
+            ({"routing_cache": "false"}, "routing_cache", "'false'"),
+            ({"seed": 1.5}, "seed", "1.5"),
+            ({"evaluations": True}, "evaluations", "True"),
+            ({"campaign": {"output_dir": "x", "resume": "false"}}, "resume", "'false'"),
+            ({"campaign": {"output_dir": "x", "event_log": "no"}}, "event_log", "'no'"),
+            ({"campaign": {"output_dir": "x", "routing_warm_start": 1}}, "routing_warm_start", "1"),
+            ({"campaign": {"output_dir": "x", "max_workers": 2.9}}, "max_workers", "2.9"),
+            ({"campaign": {"output_dir": "x", "max_workers": True}}, "max_workers", "True"),
+            (
+                {"campaign": {"output_dir": "x", "repair_max_rounds": "4"}},
+                "repair_max_rounds",
+                "'4'",
+            ),
+        ],
+    )
+    def test_from_dict_rejects_mistyped_values(self, payload, key, value):
+        """Study files are not coerced: a wrong type fails, naming key and value."""
+        pattern = re.escape(f"{key!r} must be") + ".*" + re.escape(value)
+        with pytest.raises(ValueError, match=pattern):
+            Study.from_dict(payload)
 
     def test_campaign_requires_output_dir(self):
         with pytest.raises(ValueError, match="output_dir"):
