@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from repro.noc.constraints import random_design
+from repro.noc.moves import MoveGenerator
 from repro.objectives.evaluator import (
     OBJECTIVE_NAMES,
     ObjectiveEvaluator,
@@ -12,6 +14,7 @@ from repro.objectives.evaluator import (
     SCENARIO_5OBJ,
     scenario_for,
 )
+from repro.scenarios.registry import parse_scenario
 
 
 class TestScenarios:
@@ -133,3 +136,91 @@ class TestEvaluator:
         evaluator = ObjectiveEvaluator(tiny_workload, SCENARIO_4OBJ)
         assert evaluator.objective_names == SCENARIO_4OBJ.objectives
         assert evaluator.num_objectives == 4
+
+
+def _brood(workload, parent, size=6, seed=3):
+    moves = MoveGenerator(workload.config, workload)
+    rng = np.random.default_rng(seed)
+    return [moves.random_neighbor(parent, rng) for _ in range(size)]
+
+
+class TestBatchPath:
+    """evaluate_many is the single batch path: no process pool behind it."""
+
+    def test_duplicates_and_annotated_moves_bitwise(self, tiny_workload):
+        """Duplicates collapse to one computation and move-annotated children
+        take the engine's repair path; the batch must stay bit-identical to
+        fresh per-design builds."""
+        parent = random_design(tiny_workload.config, 7)
+        brood = _brood(tiny_workload, parent)
+        batch = [parent] + brood + [brood[0], parent]
+        fresh = ObjectiveEvaluator(tiny_workload, SCENARIO_5OBJ, cache_size=0, routing_cache=False)
+        expected = np.stack([fresh.evaluate(design) for design in batch])
+        evaluator = ObjectiveEvaluator(tiny_workload, SCENARIO_5OBJ, cache_size=0)
+        np.testing.assert_array_equal(evaluator.evaluate_many(batch), expected)
+
+    def test_store_backed_evaluator_bitwise_and_counted(self, tiny_workload, tmp_path):
+        """route_store_path attaches a disk store: results are unchanged and
+        the evaluator's stats expose the store counters."""
+        parent = random_design(tiny_workload.config, 8)
+        brood = _brood(tiny_workload, parent, size=8)
+        plain = ObjectiveEvaluator(tiny_workload, SCENARIO_5OBJ, cache_size=0)
+        plain.evaluate(parent)
+        expected = plain.evaluate_many(brood)
+        assert "store_hits" not in plain.routing_cache_stats()
+
+        stored = ObjectiveEvaluator(
+            tiny_workload, SCENARIO_5OBJ, cache_size=0, route_store_path=str(tmp_path)
+        )
+        stored.evaluate(parent)
+        np.testing.assert_array_equal(stored.evaluate_many(brood), expected)
+        assert stored.routing_cache_stats()["store_saves"] >= 1
+        assert any(path.suffix == ".npz" for path in tmp_path.iterdir())
+
+    def test_sibling_evaluator_warm_starts_from_store(self, tiny_workload, tmp_path):
+        design = random_design(tiny_workload.config, 9)
+        first = ObjectiveEvaluator(tiny_workload, SCENARIO_5OBJ, route_store_path=str(tmp_path))
+        expected = first.evaluate(design)
+        sibling = ObjectiveEvaluator(tiny_workload, SCENARIO_5OBJ, route_store_path=str(tmp_path))
+        np.testing.assert_array_equal(sibling.evaluate(design), expected)
+        stats = sibling.routing_cache_stats()
+        assert stats["store_hits"] == 1
+        assert stats["store_saves"] == 0
+
+    def test_store_ignored_without_routing_cache(self, tiny_workload, tmp_path):
+        evaluator = ObjectiveEvaluator(
+            tiny_workload, SCENARIO_3OBJ, routing_cache=False, route_store_path=str(tmp_path)
+        )
+        evaluator.evaluate(random_design(tiny_workload.config, 10))
+        assert evaluator.routing_cache_stats()["enabled"] is False
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            "link_failure",
+            "link_failure(k=2,mode=derate,derate_factor=0.25)",
+            "thermal_derating(factor=2.0,region=upper)",
+        ],
+    )
+    def test_faulted_batch_matches_looped_evaluate(self, tiny_workload, tiny_designs, spec):
+        """Scenario transforms run per design inside the batch exactly as in
+        evaluate, and agree with the scalar reference path."""
+        designs = list(tiny_designs) + [tiny_designs[0]]
+        model = parse_scenario(spec)
+        batch = ObjectiveEvaluator(
+            tiny_workload, SCENARIO_5OBJ, scenario_model=model, scenario_seed=3
+        ).evaluate_many(designs)
+        looped = ObjectiveEvaluator(
+            tiny_workload, SCENARIO_5OBJ, scenario_model=model, scenario_seed=3
+        )
+        np.testing.assert_array_equal(batch, np.stack([looped.evaluate(d) for d in designs]))
+        np.testing.assert_allclose(
+            batch, np.stack([looped.evaluate_reference(d) for d in designs]), rtol=1e-12
+        )
+
+    @pytest.mark.parametrize("option", [{"parallel": True}, {"max_workers": 2}])
+    def test_removed_pool_options_rejected(self, tiny_workload, tiny_designs, option):
+        evaluator = ObjectiveEvaluator(tiny_workload, SCENARIO_3OBJ)
+        with pytest.raises(TypeError):
+            evaluator.evaluate_many(list(tiny_designs[:2]), **option)
