@@ -293,8 +293,7 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
         study.preset("paper")
     # Start from the config file's campaign settings (if any) and only let
     # flags the user actually passed override them.
-    settings = study.campaign_settings() or {"max_workers": 1, "resume": True,
-                                             "event_log": True}
+    settings = study.campaign_settings() or {}
     output_dir = args.output_dir or settings.get("output_dir")
     if not output_dir:
         print("error: campaign needs --output-dir (or a campaign.output_dir in --config)",
@@ -309,14 +308,8 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
         # outranks the config file's event_log=false.
         print("note: --follow enables the event log despite campaign.event_log=false")
         settings["event_log"] = True
-    study.campaign(
-        output_dir,
-        max_workers=settings["max_workers"],
-        resume=settings["resume"],
-        event_log=settings.get("event_log", True),
-        shared_routing_cache=settings.get("shared_routing_cache", True),
-        routing_warm_start=settings.get("routing_warm_start", False),
-    )
+    settings["output_dir"] = output_dir
+    study.campaign(**settings)
     campaign = study.campaign_config()
     experiment = campaign.experiment
     grid = (f"{len(campaign.algorithms)} algorithms x "

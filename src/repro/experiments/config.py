@@ -146,22 +146,6 @@ class CampaignConfig:
         default); ``False`` is the escape hatch selecting the historical
         fresh-build-per-design path.  Each cell's hit/miss/repair counters are
         recorded in its shard and summarised in the campaign manifest.
-    shared_routing_cache:
-        Shares one :class:`~repro.noc.routing_engine.RoutingEnginePool`
-        across every *inline* cell (``max_workers == 1``), so topologies one
-        cell solved are cache hits for the next — the initial random
-        population's all-pairs builds otherwise repeat per cell.  Cached
-        tables are read-only and bit-identical to fresh builds, so shards
-        differ from a cold-start campaign only in their cache counters.
-        Pooled cells (``max_workers > 1``) each live in their own process and
-        are unaffected; ``routing_warm_start`` is the cross-process analogue.
-    routing_warm_start:
-        Persists routing solutions to a ``routing_store`` directory next to
-        the manifest (a bounded, content-keyed
-        :class:`~repro.noc.route_store.RouteStore`), warm-starting cells in
-        *other* processes — pooled cells and resumed campaigns — from builds
-        a sibling already paid for.  Off by default: the store writes files
-        during evaluation, which small inline campaigns do not need.
     event_log:
         Appends every campaign event (shard starts/completions and, from
         every cell — pooled or inline — the per-iteration optimiser events)
@@ -194,8 +178,6 @@ class CampaignConfig:
     max_workers: int = 1
     resume: bool = True
     routing_cache: bool = True
-    shared_routing_cache: bool = True
-    routing_warm_start: bool = False
     event_log: bool = True
     repair_infeasible: bool = False
     repair_max_rounds: int = 4
@@ -229,7 +211,7 @@ class CampaignConfig:
     def smoke(cls) -> "CampaignConfig":
         """Tiny 2-algorithm x 2-application campaign (4 cells, seconds to run).
 
-        This is the grid ``examples/run_campaign.py --smoke`` and the CI
+        This is the grid ``python -m repro campaign --smoke`` and the CI
         campaign smoke job execute end to end.
         """
         return cls(

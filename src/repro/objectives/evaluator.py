@@ -39,7 +39,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.noc.design import NocDesign
-from repro.noc.route_store import RouteStore
 from repro.noc.routing import RoutingTables
 from repro.noc.routing_engine import RoutingEngine
 from repro.objectives.energy import communication_energy, communication_energy_reference
@@ -113,8 +112,8 @@ class ObjectiveEvaluator:
     cache_size:
         Maximum number of memoised designs (0 disables caching).
     routing_cache:
-        When True (the default) routing tables come from a shared
-        :class:`~repro.noc.routing_engine.RoutingEngine` that caches them
+        When True (the default) routing tables come from the evaluator's own
+        :class:`~repro.noc.routing_engine.RoutingEngine`, which caches them
         across designs by link set and repairs them incrementally for small
         link deltas.  ``False`` is the escape hatch selecting the historical
         fresh-build-per-design path; both settings produce bit-identical
@@ -132,18 +131,6 @@ class ObjectiveEvaluator:
         link sets.
     scenario_seed:
         Seed mixed into the scenario model's sha256-derived streams.
-    routing_engine:
-        Optional externally-owned :class:`RoutingEngine` to use instead of
-        creating one — campaign cells sharing a platform inject one engine so
-        later cells reuse earlier cells' topologies.
-        :meth:`routing_cache_stats` still reports *this evaluator's* share of
-        the traffic (counters are snapshotted at construction and deltas
-        reported), so per-cell accounting survives the sharing.
-    route_store_path:
-        Optional directory of a disk-backed
-        :class:`~repro.noc.route_store.RouteStore` attached to the routing
-        engine, letting sibling campaign-cell processes warm-start from each
-        other's builds.
     """
 
     def __init__(
@@ -155,8 +142,6 @@ class ObjectiveEvaluator:
         routing_cache_size: int = 256,
         scenario_model: "ScenarioModel | None" = None,
         scenario_seed: int = 0,
-        routing_engine: "RoutingEngine | None" = None,
-        route_store_path: "str | None" = None,
     ):
         if scenario_model is not None and scenario_model.is_identity:
             scenario_model = None
@@ -172,18 +157,10 @@ class ObjectiveEvaluator:
             self.thermal_model = scenario_model.transform_thermal(self.thermal_model)
         self.cache_size = int(cache_size)
         self._cache: OrderedDict[tuple, np.ndarray] = OrderedDict()
-        if routing_engine is not None:
-            self.routing_engine: RoutingEngine | None = routing_engine
-        else:
-            self.routing_engine = (
-                RoutingEngine(self.config.grid, cache_size=routing_cache_size)
-                if routing_cache
-                else None
-            )
-        if self.routing_engine is not None and route_store_path is not None:
-            self.routing_engine.attach_store(RouteStore(route_store_path))
-        self._engine_baseline = (
-            self.routing_engine.stats() if self.routing_engine is not None else None
+        self.routing_engine: RoutingEngine | None = (
+            RoutingEngine(self.config.grid, cache_size=routing_cache_size)
+            if routing_cache
+            else None
         )
         self.evaluations = 0
         self.cache_hits = 0
@@ -288,36 +265,18 @@ class ObjectiveEvaluator:
         return np.array([values[name] for name in self.scenario.objectives], dtype=np.float64)
 
     def routing_cache_stats(self) -> dict[str, "int | float | bool"]:
-        """Routing-engine counters attributable to this evaluator.
-
-        Counters are reported as deltas against the engine state at
-        construction time, so an evaluator using a *shared* engine (see the
-        ``routing_engine`` parameter) still reports only its own traffic —
-        per-cell campaign accounting is unchanged by cross-cell sharing.  For
-        an evaluator-owned engine the baseline is zero and the deltas equal
-        the raw counters.  With ``routing_cache=False`` the counters stay at
-        zero.
-        """
-        stats: dict[str, "int | float | bool"] = {
-            "enabled": self.routing_engine is not None,
-            "hits": 0,
-            "misses": 0,
-            "incremental_repairs": 0,
-            "requests": 0,
-            "hit_rate": 0.0,
-            "cached_topologies": 0,
-        }
-        if self.routing_engine is not None:
-            current = self.routing_engine.stats()
-            baseline = self._engine_baseline or {}
-            for name, value in current.items():
-                if name in ("hit_rate", "cached_topologies"):
-                    continue
-                stats[name] = value - baseline.get(name, 0)
-            requests = int(stats["requests"])
-            stats["hit_rate"] = int(stats["hits"]) / requests if requests else 0.0
-            stats["cached_topologies"] = current["cached_topologies"]
-        return stats
+        """The routing engine's counters (all zero with ``routing_cache=False``)."""
+        if self.routing_engine is None:
+            return {
+                "enabled": False,
+                "hits": 0,
+                "misses": 0,
+                "incremental_repairs": 0,
+                "requests": 0,
+                "hit_rate": 0.0,
+                "cached_topologies": 0,
+            }
+        return {"enabled": True, **self.routing_engine.stats()}
 
     def full_report(self, design: NocDesign) -> dict[str, float]:
         """All five objective values for a design, regardless of scenario."""

@@ -109,8 +109,6 @@ _CAMPAIGN_KEYS: tuple[str, ...] = (
     "max_workers",
     "resume",
     "event_log",
-    "shared_routing_cache",
-    "routing_warm_start",
     "repair_infeasible",
     "repair_max_rounds",
     "repair_candidates_per_round",
@@ -320,8 +318,6 @@ class Study:
         max_workers: int = 1,
         resume: bool = True,
         event_log: bool = True,
-        shared_routing_cache: bool = True,
-        routing_warm_start: bool = False,
         repair_infeasible: bool = False,
         repair_max_rounds: int = 4,
         repair_candidates_per_round: int = 8,
@@ -332,10 +328,8 @@ class Study:
         ``event_log=True`` (the default) streams every cell's events —
         pooled or inline — through the durable ``events.jsonl`` next to the
         manifest; it is also what :meth:`submit`'s non-blocking handle tails.
-        ``shared_routing_cache`` and ``routing_warm_start`` control the
-        cross-cell routing-cache tiers; ``repair_infeasible`` and the
-        ``repair_*`` budget keys control the opt-in directed feasibility
-        repair path inside every cell (see
+        ``repair_infeasible`` and the ``repair_*`` budget keys control the
+        opt-in directed feasibility repair path inside every cell (see
         :class:`~repro.experiments.config.CampaignConfig`).
         """
         self._campaign = {
@@ -343,8 +337,6 @@ class Study:
             "max_workers": int(max_workers),
             "resume": bool(resume),
             "event_log": bool(event_log),
-            "shared_routing_cache": bool(shared_routing_cache),
-            "routing_warm_start": bool(routing_warm_start),
             "repair_infeasible": bool(repair_infeasible),
             "repair_max_rounds": int(repair_max_rounds),
             "repair_candidates_per_round": int(repair_candidates_per_round),
@@ -415,8 +407,6 @@ class Study:
                 max_workers=_typed(campaign, "max_workers", int, 1),
                 resume=_typed(campaign, "resume", bool, True),
                 event_log=_typed(campaign, "event_log", bool, True),
-                shared_routing_cache=_typed(campaign, "shared_routing_cache", bool, True),
-                routing_warm_start=_typed(campaign, "routing_warm_start", bool, False),
                 repair_infeasible=_typed(campaign, "repair_infeasible", bool, False),
                 repair_max_rounds=_typed(campaign, "repair_max_rounds", int, 4),
                 repair_candidates_per_round=_typed(
@@ -549,8 +539,6 @@ class Study:
             resume=self._campaign["resume"],
             routing_cache=self._routing_cache,
             event_log=self._campaign.get("event_log", True),
-            shared_routing_cache=self._campaign.get("shared_routing_cache", True),
-            routing_warm_start=self._campaign.get("routing_warm_start", False),
             repair_infeasible=self._campaign.get("repair_infeasible", False),
             repair_max_rounds=self._campaign.get("repair_max_rounds", 4),
             repair_candidates_per_round=self._campaign.get("repair_candidates_per_round", 8),

@@ -12,9 +12,15 @@ from repro.experiments.runner import (
     aggregate_routing_cache_stats,
     campaign_cells,
     load_manifest,
+    make_problem,
+    run_algorithm,
     run_campaign,
 )
 from repro.experiments.tables import CampaignAggregate, aggregate_campaign
+from repro.moo.termination import Budget
+
+#: The routing-engine counters every shard and the manifest record.
+COUNTERS = ("hits", "misses", "incremental_repairs", "requests", "hit_rate")
 
 
 @pytest.fixture()
@@ -39,6 +45,7 @@ class TestRoutingCacheStats:
         for cell in summary.cells:
             payload = json.loads((summary.output_dir / cell.shard_name).read_text())
             stats = payload["routing_cache"]
+            assert set(stats) == {"enabled", *COUNTERS, "cached_topologies"}
             assert stats["enabled"]
             assert stats["requests"] == stats["hits"] + stats["misses"] + stats["incremental_repairs"]
             assert stats["requests"] > 0
@@ -47,6 +54,7 @@ class TestRoutingCacheStats:
         campaign, summary = finished_campaign
         manifest = load_manifest(summary.output_dir)
         stats = manifest["routing_cache"]
+        assert set(stats) == {"cells_counted", "cells_missing_stats", *COUNTERS}
         assert stats["cells_counted"] == len(summary.cells)
         assert stats["cells_missing_stats"] == 0
         assert stats["hits"] > 0  # placement-only moves must have hit the cache
@@ -67,6 +75,40 @@ class TestRoutingCacheStats:
         manifest = load_manifest(summary.output_dir)
         stats = manifest["routing_cache"]
         assert stats["requests"] == 0 and stats["hit_rate"] == 0.0
+
+    def test_each_cell_owns_its_routing_engine(self, finished_campaign):
+        """A shard's counters equal those of the same cell run on its own:
+        no routing state crosses from one cell to the next."""
+        campaign, summary = finished_campaign
+        experiment = campaign.experiment
+        for cell in summary.cells:
+            problem = make_problem(
+                experiment,
+                cell.application,
+                cell.num_objectives,
+                scenario_model=cell.scenario,
+                scenario_seed=cell.seed,
+            )
+            run_algorithm(
+                cell.algorithm,
+                problem,
+                experiment,
+                budget=Budget.evaluations(campaign.cell_budget),
+                seed=cell.seed,
+            )
+            payload = json.loads((summary.output_dir / cell.shard_name).read_text())
+            assert payload["routing_cache"] == problem.routing_cache_stats()
+
+    def test_pooled_cells_record_the_inline_counters(self, campaign, tmp_path):
+        inline = run_campaign(campaign, tmp_path / "inline")
+        pooled = run_campaign(replace(campaign, max_workers=2), tmp_path / "pooled")
+        for cell in inline.cells:
+            shards = [
+                json.loads((summary.output_dir / cell.shard_name).read_text())
+                for summary in (inline, pooled)
+            ]
+            assert shards[0]["routing_cache"] == shards[1]["routing_cache"]
+        assert pooled.routing_cache == inline.routing_cache
 
     def test_aggregation_tolerates_legacy_shards(self, finished_campaign):
         campaign, summary = finished_campaign

@@ -159,41 +159,38 @@ class TestBatchPath:
         evaluator = ObjectiveEvaluator(tiny_workload, SCENARIO_5OBJ, cache_size=0)
         np.testing.assert_array_equal(evaluator.evaluate_many(batch), expected)
 
-    def test_store_backed_evaluator_bitwise_and_counted(self, tiny_workload, tmp_path):
-        """route_store_path attaches a disk store: results are unchanged and
-        the evaluator's stats expose the store counters."""
+    def test_routing_cache_stats_are_the_private_engine_counters(self, tiny_workload):
+        """Each evaluator owns its engine, so its stats are the engine's raw
+        counters: a second evaluator starts from zero however much the first
+        one has routed."""
         parent = random_design(tiny_workload.config, 8)
-        brood = _brood(tiny_workload, parent, size=8)
-        plain = ObjectiveEvaluator(tiny_workload, SCENARIO_5OBJ, cache_size=0)
-        plain.evaluate(parent)
-        expected = plain.evaluate_many(brood)
-        assert "store_hits" not in plain.routing_cache_stats()
+        batch = [parent] + _brood(tiny_workload, parent, size=8)
+        first = ObjectiveEvaluator(tiny_workload, SCENARIO_5OBJ, cache_size=0)
+        first.evaluate_many(batch)
+        stats = first.routing_cache_stats()
+        assert stats == {"enabled": True, **first.routing_engine.stats()}
+        assert stats["requests"] > 0
+        assert stats["cached_topologies"] == len(first.routing_engine)
 
-        stored = ObjectiveEvaluator(
-            tiny_workload, SCENARIO_5OBJ, cache_size=0, route_store_path=str(tmp_path)
-        )
-        stored.evaluate(parent)
-        np.testing.assert_array_equal(stored.evaluate_many(brood), expected)
-        assert stored.routing_cache_stats()["store_saves"] >= 1
-        assert any(path.suffix == ".npz" for path in tmp_path.iterdir())
+        second = ObjectiveEvaluator(tiny_workload, SCENARIO_5OBJ, cache_size=0)
+        assert second.routing_engine is not first.routing_engine
+        assert second.routing_cache_stats()["requests"] == 0
+        second.evaluate_many(batch)
+        assert second.routing_cache_stats() == stats
 
-    def test_sibling_evaluator_warm_starts_from_store(self, tiny_workload, tmp_path):
-        design = random_design(tiny_workload.config, 9)
-        first = ObjectiveEvaluator(tiny_workload, SCENARIO_5OBJ, route_store_path=str(tmp_path))
-        expected = first.evaluate(design)
-        sibling = ObjectiveEvaluator(tiny_workload, SCENARIO_5OBJ, route_store_path=str(tmp_path))
-        np.testing.assert_array_equal(sibling.evaluate(design), expected)
-        stats = sibling.routing_cache_stats()
-        assert stats["store_hits"] == 1
-        assert stats["store_saves"] == 0
-
-    def test_store_ignored_without_routing_cache(self, tiny_workload, tmp_path):
-        evaluator = ObjectiveEvaluator(
-            tiny_workload, SCENARIO_3OBJ, routing_cache=False, route_store_path=str(tmp_path)
-        )
+    def test_routing_cache_stats_without_engine_are_zero(self, tiny_workload):
+        evaluator = ObjectiveEvaluator(tiny_workload, SCENARIO_3OBJ, routing_cache=False)
         evaluator.evaluate(random_design(tiny_workload.config, 10))
-        assert evaluator.routing_cache_stats()["enabled"] is False
-        assert list(tmp_path.iterdir()) == []
+        assert evaluator.routing_engine is None
+        assert evaluator.routing_cache_stats() == {
+            "enabled": False,
+            "hits": 0,
+            "misses": 0,
+            "incremental_repairs": 0,
+            "requests": 0,
+            "hit_rate": 0.0,
+            "cached_topologies": 0,
+        }
 
     @pytest.mark.parametrize(
         "spec",

@@ -141,10 +141,21 @@ class TestCampaignAndTables:
         assert "workers=2" in out
         assert (tmp_path / "out" / "manifest.json").exists()
 
-    def test_campaign_config_routing_warm_start_is_respected(self, tmp_path, capsys):
-        """A config file's `campaign.routing_warm_start = true` must survive
-        the CLI's settings plumbing: the store directory is created and the
-        manifest aggregates store counters."""
+    def test_campaign_config_repair_settings_reach_the_run(self, tmp_path, capsys, monkeypatch):
+        """Every campaign setting in the config file survives the CLI's
+        settings plumbing: `repair_infeasible = true` writes the manifest's
+        `repair` record and a non-default `repair_max_rounds` reaches every
+        cell's repair budget."""
+        import repro.experiments.runner as runner
+
+        budgets = []
+        run_algorithm = runner.run_algorithm
+
+        def spy(*args, **kwargs):
+            budgets.append(kwargs["repair_budget"])
+            return run_algorithm(*args, **kwargs)
+
+        monkeypatch.setattr(runner, "run_algorithm", spy)
         config = tmp_path / "study.json"
         config.write_text(json.dumps({
             "preset": "smoke",
@@ -153,14 +164,39 @@ class TestCampaignAndTables:
             "evaluations": 30,
             "campaign": {
                 "output_dir": str(tmp_path / "out"),
-                "routing_warm_start": True,
+                "repair_infeasible": True,
+                "repair_max_rounds": 2,
             },
         }))
         assert main(["campaign", "--config", str(config), "--no-progress"]) == 0
         capsys.readouterr()
-        assert list((tmp_path / "out" / "routing_store").glob("*.npz"))
         manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
-        assert manifest["routing_cache"]["store_saves"] >= 1
+        assert manifest["repair"]["cells_counted"] == 1
+        assert [budget.max_rounds for budget in budgets] == [2]
+
+    def test_campaign_flags_override_config_settings(self, tmp_path, capsys):
+        """--workers and --no-resume outrank the config file's values while
+        the settings no flag touches still apply."""
+        config = tmp_path / "study.json"
+        config.write_text(json.dumps({
+            "preset": "smoke",
+            "applications": ["BFS"],
+            "algorithms": ["NSGA-II"],
+            "evaluations": 30,
+            "campaign": {
+                "output_dir": str(tmp_path / "out"),
+                "max_workers": 2,
+                "resume": True,
+                "repair_infeasible": True,
+            },
+        }))
+        argv = ["campaign", "--config", str(config), "--no-progress", "--workers", "1"]
+        assert main(argv) == 0
+        assert "workers=1" in capsys.readouterr().out
+        assert main([*argv, "--no-resume"]) == 0
+        assert "executed 1 cells, skipped 0" in capsys.readouterr().out
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        assert manifest["repair"]["cells_counted"] == 1
 
     def test_campaign_follow_streams_worker_events(self, campaign_dir, capsys):
         """--follow on a pooled campaign renders per-iteration events that

@@ -69,7 +69,9 @@ class TestStudyValidation:
         with pytest.raises(ValueError, match="available: MOELA"):
             Study.from_dict({"algorithms": ["NOPE"]})
 
-    @pytest.mark.parametrize("key", ["turbo", "parallel_evaluation"])
+    @pytest.mark.parametrize(
+        "key", ["turbo", "parallel_evaluation", "shared_routing_cache", "routing_warm_start"]
+    )
     def test_from_dict_unknown_campaign_key_raises(self, key):
         with pytest.raises(ValueError, match=rf"unknown campaign keys \['{key}'\]"):
             Study.from_dict({"campaign": {"output_dir": "x", key: True}})
@@ -82,7 +84,7 @@ class TestStudyValidation:
             ({"evaluations": True}, "evaluations", "True"),
             ({"campaign": {"output_dir": "x", "resume": "false"}}, "resume", "'false'"),
             ({"campaign": {"output_dir": "x", "event_log": "no"}}, "event_log", "'no'"),
-            ({"campaign": {"output_dir": "x", "routing_warm_start": 1}}, "routing_warm_start", "1"),
+            ({"campaign": {"output_dir": "x", "repair_infeasible": 1}}, "repair_infeasible", "1"),
             ({"campaign": {"output_dir": "x", "max_workers": 2.9}}, "max_workers", "2.9"),
             ({"campaign": {"output_dir": "x", "max_workers": True}}, "max_workers", "True"),
             (
@@ -190,6 +192,11 @@ class TestRoundTrip:
             "applications": ["BFS"],
             "evaluations": 60,
         }
+
+    def test_campaign_to_dict_omits_removed_routing_keys(self, tmp_path):
+        campaign = smoke_study().campaign(tmp_path).to_dict()["campaign"]
+        assert campaign == {"output_dir": str(tmp_path)}
+        assert "shared_routing_cache" not in campaign and "routing_warm_start" not in campaign
 
 
 class TestStudyResult:

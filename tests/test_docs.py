@@ -4,6 +4,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 REPO = Path(__file__).resolve().parent.parent
 DOCS = REPO / "docs"
 
@@ -60,9 +62,16 @@ class TestDocsTree:
                     f"configuration.md does not document {name}'s option {option!r}"
                 )
 
-    def test_performance_page_records_the_pool_decision(self):
-        """The evaluation pool was removed because every committed bench of it
-        measured a slowdown; the page says so and cites the numbers."""
+    @pytest.mark.parametrize(
+        "heading, evidence",
+        [
+            ("Removed: the evaluation pool", "BENCH_routing.json"),
+            ("Removed: cross-cell routing sharing", "228 hits / 64 misses / 107 repairs"),
+        ],
+    )
+    def test_performance_page_records_the_removal_decisions(self, heading, evidence):
+        """Each removed mechanism keeps a note on the performance page that
+        cites the measurements behind the decision."""
         content = (DOCS / "performance.md").read_text()
-        assert "Removed: the evaluation pool" in content
-        assert "BENCH_routing.json" in content
+        assert f"## {heading}" in content
+        assert evidence in content
