@@ -110,6 +110,80 @@ class TestRoutingCacheStats:
             assert shards[0]["routing_cache"] == shards[1]["routing_cache"]
         assert pooled.routing_cache == inline.routing_cache
 
+    def test_shard_topologies_come_from_the_cells_own_builds(self, finished_campaign):
+        """Every topology a shard reports cached was built (or repaired) by
+        that cell's engine; none is left over from an earlier cell."""
+        campaign, summary = finished_campaign
+        for cell in summary.cells:
+            stats = json.loads((summary.output_dir / cell.shard_name).read_text())["routing_cache"]
+            assert 0 < stats["cached_topologies"] <= stats["misses"] + stats["incremental_repairs"]
+
+    def test_manifest_counters_are_the_sum_of_the_shards(self, finished_campaign):
+        campaign, summary = finished_campaign
+        shards = [
+            json.loads((summary.output_dir / cell.shard_name).read_text())["routing_cache"]
+            for cell in summary.cells
+        ]
+        stats = load_manifest(summary.output_dir)["routing_cache"]
+        for name in ("hits", "misses", "incremental_repairs", "requests"):
+            assert stats[name] == sum(shard[name] for shard in shards)
+        assert stats["hit_rate"] == stats["hits"] / stats["requests"]
+
+    def test_cell_counters_do_not_depend_on_grid_order(self, campaign, tmp_path):
+        forward = run_campaign(campaign, tmp_path / "forward")
+        reordered = replace(
+            campaign,
+            algorithms=tuple(reversed(campaign.algorithms)),
+            experiment=replace(
+                campaign.experiment,
+                applications=tuple(reversed(campaign.experiment.applications)),
+            ),
+        )
+        backward = run_campaign(reordered, tmp_path / "backward")
+        assert [cell.shard_name for cell in backward.cells] != [
+            cell.shard_name for cell in forward.cells
+        ]
+        for cell in forward.cells:
+            shards = [
+                json.loads((summary.output_dir / cell.shard_name).read_text())
+                for summary in (forward, backward)
+            ]
+            assert shards[0]["routing_cache"] == shards[1]["routing_cache"]
+            assert shards[0]["objectives"] == shards[1]["objectives"]
+
+    def test_rerun_after_deleting_shards_reproduces_them(self, finished_campaign):
+        """Re-running a campaign whose shards were deleted (the manifest
+        kept) writes the same shards, routing counters included; only
+        wall-clock timings differ."""
+        campaign, summary = finished_campaign
+
+        def strip_timings(payload):
+            if isinstance(payload, dict):
+                return {
+                    key: strip_timings(value)
+                    for key, value in payload.items()
+                    if key != "elapsed_seconds"
+                }
+            if isinstance(payload, list):
+                return [strip_timings(item) for item in payload]
+            return payload
+
+        def bodies():
+            return {
+                cell.shard_name: strip_timings(
+                    json.loads((summary.output_dir / cell.shard_name).read_text())
+                )
+                for cell in summary.cells
+            }
+
+        before = bodies()
+        for cell in summary.cells:
+            (summary.output_dir / cell.shard_name).unlink()
+        rerun = run_campaign(campaign, summary.output_dir)
+        assert len(rerun.executed) == len(summary.cells)
+        assert bodies() == before
+        assert rerun.routing_cache == summary.routing_cache
+
     def test_aggregation_tolerates_legacy_shards(self, finished_campaign):
         campaign, summary = finished_campaign
         cells = campaign_cells(campaign)

@@ -76,6 +76,21 @@ class TestDeterminism:
             for dst in range(0, design.num_tiles, 3):
                 assert first.path_links(src, dst) == second.path_links(src, dst)
 
+    def test_fresh_builds_are_byte_identical(self, small_config):
+        """Two builds of one design agree byte for byte on every table, so a
+        cell that rebuilds a topology reproduces another cell's routes."""
+        design = random_design(small_config, np.random.default_rng(1))
+        first = RoutingTables(design, small_config.grid)
+        second = RoutingTables(design, small_config.grid)
+        assert first._distance.tobytes() == second._distance.tobytes()
+        assert first._predecessors.tobytes() == second._predecessors.tobytes()
+        for name in ("pair_link_incidence", "pair_tile_incidence"):
+            left, right = getattr(first, name)(), getattr(second, name)()
+            for attr in ("indptr", "indices", "data"):
+                assert getattr(left, attr).tobytes() == getattr(right, attr).tobytes()
+        assert first.pair_hops().tobytes() == second.pair_hops().tobytes()
+        assert first.pair_lengths().tobytes() == second.pair_lengths().tobytes()
+
 
 class TestDisconnected:
     def test_unreachable_raises(self, tiny_config):

@@ -161,6 +161,115 @@ class TestRoutingEngine:
         with pytest.raises(ValueError):
             RoutingEngine(small_config.grid, max_repair_fraction=1.5)
 
+    def test_fresh_engine_reports_zero_counters(self, small_config):
+        engine = RoutingEngine(small_config.grid)
+        assert len(engine) == 0
+        assert engine.stats() == {
+            "hits": 0,
+            "misses": 0,
+            "incremental_repairs": 0,
+            "requests": 0,
+            "hit_rate": 0.0,
+            "cached_topologies": 0,
+        }
+
+    def test_hit_refreshes_lru_recency(self, small_config):
+        engine = RoutingEngine(small_config.grid, cache_size=2)
+        first, second, third = (random_design(small_config, seed) for seed in range(3))
+        engine.tables(first)
+        engine.tables(second)
+        engine.tables(first)  # hit: `first` becomes the most recent entry
+        engine.tables(third)  # evicts the least recently used, `second`
+        assert engine.tables_for_links(first.links) is not None
+        assert engine.tables_for_links(second.links) is None
+        assert engine.tables_for_links(third.links) is not None
+
+    def test_tables_for_links_neither_builds_nor_counts(self, small_config):
+        engine = RoutingEngine(small_config.grid)
+        design = random_design(small_config, 4)
+        assert engine.tables_for_links(design.links) is None
+        built = engine.tables(design)
+        assert engine.tables_for_links(design.links) is built
+        assert engine.requests == 1 and len(engine) == 1
+
+    def test_clear_drops_topologies_but_keeps_counters(self, small_config):
+        engine = RoutingEngine(small_config.grid)
+        design = random_design(small_config, 5)
+        before = engine.tables(design)
+        engine.tables(design)
+        engine.clear()
+        assert len(engine) == 0
+        assert (engine.hits, engine.misses) == (1, 1)
+        after = engine.tables(design)  # rebuilt from scratch after the clear
+        assert after is not before
+        assert engine.misses == 2
+        assert_tables_identical(after, before)
+
+    def test_repaired_tables_are_cached_for_later_hits(self, small_config, rng):
+        engine = RoutingEngine(small_config.grid)
+        moves = MoveGenerator(small_config)
+        design = random_design(small_config, rng)
+        engine.tables(design)
+        rewired = moves.rewire_link(design, rng)
+        assert rewired is not None
+        repaired = engine.tables(rewired)
+        assert engine.tables(rewired) is repaired
+        assert (engine.misses, engine.incremental_repairs, engine.hits) == (1, 1, 1)
+        assert len(engine) == 2
+
+    def test_tiny_repair_fraction_still_admits_two_link_rewire(self, small_config, rng):
+        """The repair budget never drops below the two links of an
+        elementary rewire, however small the fraction."""
+        engine = RoutingEngine(small_config.grid, max_repair_fraction=1e-6)
+        moves = MoveGenerator(small_config)
+        design = random_design(small_config, rng)
+        engine.tables(design)
+        rewired = moves.rewire_link(design, rng)
+        assert rewired is not None
+        repaired = engine.tables(rewired)
+        assert engine.incremental_repairs == 1
+        assert_tables_identical(repaired, RoutingTables(rewired, small_config.grid))
+
+    def test_delta_over_budget_falls_back_to_fresh_build(self, small_config):
+        engine = RoutingEngine(small_config.grid, max_repair_fraction=0.05)
+        parent = random_design(small_config, 6)
+        other = random_design(small_config, 7)
+        changed = len(frozenset(parent.links).symmetric_difference(other.links))
+        assert changed > max(2, int(0.05 * other.num_links))
+        child = annotate_move(
+            NocDesign(placement=other.placement, links=other.links),
+            MoveDelta(kind="crossover", parent_links=parent.links),
+        )
+        engine.tables(parent)
+        tables = engine.tables(child)
+        assert (engine.misses, engine.incremental_repairs) == (2, 0)
+        assert_tables_identical(tables, RoutingTables(other, small_config.grid))
+
+    def test_placement_only_child_of_unseen_parent_is_a_miss(self, small_config, rng):
+        """A swap child shares its parent's link set, so with nothing cached
+        there is no parent to repair from; the parent then hits."""
+        engine = RoutingEngine(small_config.grid)
+        moves = MoveGenerator(small_config)
+        design = random_design(small_config, rng)
+        swapped = moves.swap_pe(design, rng)
+        engine.tables(swapped)
+        assert (engine.misses, engine.incremental_repairs) == (1, 0)
+        engine.tables(design)
+        assert engine.hits == 1
+
+    def test_engines_share_no_state(self, small_config):
+        """Two engines on one grid each build their own tables: nothing one
+        engine caches is visible to the other."""
+        design = random_design(small_config, 8)
+        first = RoutingEngine(small_config.grid)
+        second = RoutingEngine(small_config.grid)
+        built = first.tables(design)
+        assert second.tables_for_links(design.links) is None
+        rebuilt = second.tables(design)
+        assert rebuilt is not built
+        assert first.stats() == second.stats()
+        assert_tables_identical(rebuilt, built)
+
 
 class TestFromLinks:
     def test_from_links_matches_design_constructor(self, small_config, rng):

@@ -192,6 +192,33 @@ class TestBatchPath:
             "cached_topologies": 0,
         }
 
+    def test_second_pass_over_the_same_designs_only_hits(self, tiny_workload, tiny_designs):
+        """With the objective cache off every evaluation routes; the engine
+        built each topology on the first pass and serves the second from
+        its cache."""
+        designs = list(tiny_designs)
+        evaluator = ObjectiveEvaluator(tiny_workload, SCENARIO_5OBJ, cache_size=0)
+        for design in designs:
+            evaluator.evaluate(design)
+        first = evaluator.routing_cache_stats()
+        assert first["requests"] == len(designs)
+        evaluator.evaluate_many(designs)
+        second = evaluator.routing_cache_stats()
+        assert second["requests"] == 2 * len(designs)
+        assert second["hits"] == first["hits"] + len(designs)
+        assert second["misses"] == first["misses"]
+        assert second["incremental_repairs"] == first["incremental_repairs"]
+
+    def test_routing_cache_size_bounds_the_engine(self, tiny_workload):
+        evaluator = ObjectiveEvaluator(
+            tiny_workload, SCENARIO_3OBJ, cache_size=0, routing_cache_size=2
+        )
+        designs = [random_design(tiny_workload.config, seed) for seed in range(4)]
+        assert len({design.links for design in designs}) == 4
+        evaluator.evaluate_many(designs)
+        assert evaluator.routing_engine.cache_size == 2
+        assert evaluator.routing_cache_stats()["cached_topologies"] == 2
+
     @pytest.mark.parametrize(
         "spec",
         [

@@ -266,6 +266,16 @@ class TestCampaignAndTables:
         assert "enables the event log" in out
         assert (tmp_path / "out" / "events.jsonl").exists()
 
+    def test_campaign_config_unknown_campaign_key_fails_cleanly(self, tmp_path, capsys):
+        config = tmp_path / "study.json"
+        config.write_text(json.dumps({
+            "preset": "smoke",
+            "campaign": {"output_dir": str(tmp_path / "out"), "turbo": True},
+        }))
+        assert main(["campaign", "--config", str(config), "--no-progress"]) == 2
+        assert "unknown campaign keys ['turbo']" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_campaign_without_output_dir_fails(self, capsys):
         assert main(["campaign", "--preset", "smoke", "--no-progress"]) == 2
         assert "--output-dir" in capsys.readouterr().err

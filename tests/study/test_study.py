@@ -76,6 +76,11 @@ class TestStudyValidation:
         with pytest.raises(ValueError, match=rf"unknown campaign keys \['{key}'\]"):
             Study.from_dict({"campaign": {"output_dir": "x", key: True}})
 
+    @pytest.mark.parametrize("key", ["shared_routing_cache", "routing_warm_start"])
+    def test_campaign_rejects_removed_routing_parameters(self, key, tmp_path):
+        with pytest.raises(TypeError, match=key):
+            smoke_study().campaign(tmp_path, **{key: True})
+
     @pytest.mark.parametrize(
         "payload, key, value",
         [
