@@ -25,10 +25,11 @@ from repro.noc.design import NocDesign
 from repro.noc.links import (
     Link,
     LinkKind,
-    candidate_planar_links,
-    candidate_vertical_links,
+    budgets_by_kind,
+    candidate_links_by_endpoint,
     is_feasible_link,
     link_kind,
+    pools_by_kind,
 )
 from repro.noc.platform import PEType, PlatformConfig
 from repro.utils.rng import RngLike, ensure_rng
@@ -200,18 +201,7 @@ class InfeasibleDesignError(ValueError):
 
 def is_connected(design: NocDesign) -> bool:
     """True when the link placement connects every tile to every other tile."""
-    if design.num_tiles == 0:
-        return True
-    adjacency = design.adjacency()
-    seen = {0}
-    stack = [0]
-    while stack:
-        node = stack.pop()
-        for neighbor in adjacency[node]:
-            if neighbor not in seen:
-                seen.add(neighbor)
-                stack.append(neighbor)
-    return len(seen) == design.num_tiles
+    return len(_components(design)) <= 1
 
 
 class ConstraintChecker:
@@ -435,13 +425,10 @@ def random_link_placement(config: PlatformConfig, rng: RngLike = None) -> tuple[
     """
     rng = ensure_rng(rng)
     grid = config.grid
-    planar_candidates = candidate_planar_links(config)
-    vertical_candidates = candidate_vertical_links(config)
-
-    by_endpoint: dict[int, list[Link]] = {t: [] for t in range(config.num_tiles)}
-    for link in planar_candidates + vertical_candidates:
-        by_endpoint[link.a].append(link)
-        by_endpoint[link.b].append(link)
+    cap = config.max_router_degree
+    pools = pools_by_kind(config)
+    budgets = budgets_by_kind(config)
+    by_endpoint = candidate_links_by_endpoint(config)
 
     # Degree caps can occasionally starve the budget fill; retry with a
     # different spanning tree rather than returning an infeasible design.
@@ -450,8 +437,7 @@ def random_link_placement(config: PlatformConfig, rng: RngLike = None) -> tuple[
     while True:
         degrees = np.zeros(config.num_tiles, dtype=np.int64)
         chosen: set[Link] = set()
-        planar_used = 0
-        vertical_used = 0
+        used = dict.fromkeys(budgets, 0)
 
         # -- random spanning tree (randomised Prim) --------------------- #
         root = int(rng.integers(config.num_tiles))
@@ -465,47 +451,42 @@ def random_link_placement(config: PlatformConfig, rng: RngLike = None) -> tuple[
             inside_a, inside_b = link.a in in_tree, link.b in in_tree
             if inside_a == inside_b:
                 continue
-            if degrees[link.a] >= config.max_router_degree or degrees[link.b] >= config.max_router_degree:
+            if degrees[link.a] >= cap or degrees[link.b] >= cap:
                 continue
             kind = link_kind(link, grid)
-            if kind is LinkKind.PLANAR and planar_used >= config.num_planar_links:
-                continue
-            if kind is LinkKind.VERTICAL and vertical_used >= config.num_vertical_links:
+            if used[kind] >= budgets[kind]:
                 continue
             chosen.add(link)
             degrees[link.a] += 1
             degrees[link.b] += 1
-            if kind is LinkKind.PLANAR:
-                planar_used += 1
-            else:
-                vertical_used += 1
+            used[kind] += 1
             new_node = link.b if inside_a else link.a
             in_tree.add(new_node)
             frontier.extend(by_endpoint[new_node])
 
-        # -- fill the remaining budgets ---------------------------------- #
-        def fill(candidates: list[Link], remaining: int) -> int:
-            order = rng.permutation(len(candidates))
-            added = 0
-            for idx in order:
-                if added >= remaining:
-                    break
-                link = candidates[int(idx)]
-                if link in chosen:
-                    continue
-                if degrees[link.a] >= config.max_router_degree or degrees[link.b] >= config.max_router_degree:
-                    continue
-                chosen.add(link)
-                degrees[link.a] += 1
-                degrees[link.b] += 1
-                added += 1
-            return added
-
-        planar_used += fill(planar_candidates, config.num_planar_links - planar_used)
-        vertical_used += fill(vertical_candidates, config.num_vertical_links - vertical_used)
-
-        if planar_used == config.num_planar_links and vertical_used == config.num_vertical_links:
+        # -- fill the remaining budgets, planar first -------------------- #
+        for kind, pool in pools.items():
+            used[kind] += _fill_from_pool(pool, budgets[kind] - used[kind], chosen, degrees, cap, rng)
+        if used == budgets:
             return tuple(sorted(chosen))
+
+
+def _fill_from_pool(
+    pool: tuple[Link, ...], needed: int, links: set[Link], degrees: np.ndarray, cap: int, rng
+) -> int:
+    """Add up to ``needed`` unused pool links, in a random order, without exceeding ``cap``."""
+    added = 0
+    for idx in rng.permutation(len(pool)):
+        if added >= needed:
+            break
+        link = pool[int(idx)]
+        if link in links or degrees[link.a] >= cap or degrees[link.b] >= cap:
+            continue
+        links.add(link)
+        degrees[link.a] += 1
+        degrees[link.b] += 1
+        added += 1
+    return added
 
 
 def random_design(config: PlatformConfig, rng: RngLike = None) -> NocDesign:
@@ -584,41 +565,24 @@ def _enforce_degree_cap(design: NocDesign, config: PlatformConfig, rng) -> NocDe
 
 
 def _fill_budgets(design: NocDesign, config: PlatformConfig, rng) -> NocDesign:
-    grid = config.grid
     links = set(design.links)
     degrees = design.degrees()
-    partition = design.links_by_kind(grid)
-    needs = {
-        LinkKind.PLANAR: config.num_planar_links - len(partition[LinkKind.PLANAR]),
-        LinkKind.VERTICAL: config.num_vertical_links - len(partition[LinkKind.VERTICAL]),
-    }
-    pools = {
-        LinkKind.PLANAR: candidate_planar_links(config),
-        LinkKind.VERTICAL: candidate_vertical_links(config),
-    }
-    for kind, needed in needs.items():
-        if needed <= 0:
-            continue
-        pool = pools[kind]
-        order = rng.permutation(len(pool))
-        added = 0
-        for idx in order:
-            if added >= needed:
-                break
-            link = pool[int(idx)]
-            if link in links:
-                continue
-            if degrees[link.a] >= config.max_router_degree or degrees[link.b] >= config.max_router_degree:
-                continue
-            links.add(link)
-            degrees[link.a] += 1
-            degrees[link.b] += 1
-            added += 1
+    partition = design.links_by_kind(config.grid)
+    budgets = budgets_by_kind(config)
+    for kind, pool in pools_by_kind(config).items():
+        needed = budgets[kind] - len(partition[kind])
+        if needed > 0:
+            _fill_from_pool(pool, needed, links, degrees, config.max_router_degree, rng)
     return NocDesign(placement=design.placement, links=tuple(sorted(links)))
 
 
 def _restore_connectivity(design: NocDesign, config: PlatformConfig, rng) -> NocDesign:
-    """Swap links until the network is connected, preserving per-kind budgets."""
+    """Swap links until the network is connected, preserving per-kind budgets.
+
+    Each swap adds a bridging link and removes a random link of the same kind.
+    The loop only runs while the network is disconnected, and no removal can
+    connect it, so there is no redundant victim to prefer.
+    """
     grid = config.grid
     max_attempts = 4 * config.num_links
     current = design
@@ -633,13 +597,7 @@ def _restore_connectivity(design: NocDesign, config: PlatformConfig, rng) -> Noc
         if bridge is None:
             break
         kind = link_kind(bridge, grid)
-        removable = [
-            link
-            for link in current.links
-            if link_kind(link, grid) is kind and _is_redundant(link, current)
-        ]
-        if not removable:
-            removable = [link for link in current.links if link_kind(link, grid) is kind]
+        removable = [link for link in current.links if link_kind(link, grid) is kind]
         victim = removable[int(rng.integers(len(removable)))]
         links = set(current.links)
         links.discard(victim)
@@ -686,8 +644,41 @@ def _find_bridge(main: Iterable[int], others: Iterable[int], design: NocDesign, 
     return None
 
 
-def _is_redundant(link: Link, design: NocDesign) -> bool:
-    """True when removing ``link`` keeps the network connected."""
-    remaining = tuple(l for l in design.links if l != link)
-    trimmed = NocDesign(placement=design.placement, links=remaining)
-    return is_connected(trimmed)
+def redundant_links(links: Iterable[Link], num_tiles: int) -> frozenset[Link]:
+    """Links whose removal keeps the network connected; none when it is disconnected.
+
+    One iterative Tarjan bridge pass, O(tiles + links): on a connected network
+    these are the non-bridges.  Removing a link removes all its copies, so
+    duplicates count once.
+    """
+    if not num_tiles:
+        return frozenset()
+    distinct = list(dict.fromkeys(links))
+    adjacency: list[list[tuple[int, int]]] = [[] for _ in range(num_tiles)]
+    for index, link in enumerate(distinct):
+        adjacency[link.a].append((link.b, index))
+        adjacency[link.b].append((link.a, index))
+    order = {0: 0}  # discovery time of every visited tile
+    low = [0] * num_tiles
+    bridges: set[int] = set()
+    # Depth-first from tile 0; a frame is (tile, link it was entered by, its neighbours).
+    stack = [(0, -1, iter(adjacency[0]))]
+    while stack:
+        tile, via, neighbors = stack[-1]
+        for neighbor, index in neighbors:
+            if neighbor not in order:
+                order[neighbor] = low[neighbor] = len(order)
+                stack.append((neighbor, index, iter(adjacency[neighbor])))
+                break
+            if index != via:
+                low[tile] = min(low[tile], order[neighbor])
+        else:
+            stack.pop()
+            if stack:
+                parent = stack[-1][0]
+                low[parent] = min(low[parent], low[tile])
+                if low[tile] > order[parent]:
+                    bridges.add(via)
+    if len(order) < num_tiles:
+        return frozenset()
+    return frozenset(link for index, link in enumerate(distinct) if index not in bridges)

@@ -20,7 +20,7 @@ import numpy as np
 
 from repro.noc.constraints import repair_links
 from repro.noc.design import MoveDelta, NocDesign, annotate_move
-from repro.noc.links import LinkKind, link_kind
+from repro.noc.links import budgets_by_kind, link_kind
 from repro.noc.platform import PEType, PlatformConfig
 from repro.utils.rng import RngLike, ensure_rng
 
@@ -92,11 +92,8 @@ def crossover_links(
     exclusive = list((set_a | set_b) - common)
     rng.shuffle(exclusive)
 
-    budgets = {
-        LinkKind.PLANAR: config.num_planar_links,
-        LinkKind.VERTICAL: config.num_vertical_links,
-    }
-    counts = {LinkKind.PLANAR: 0, LinkKind.VERTICAL: 0}
+    budgets = budgets_by_kind(config)
+    counts = dict.fromkeys(budgets, 0)
     chosen = set()
     degrees = np.zeros(config.num_tiles, dtype=np.int64)
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -66,12 +67,19 @@ class Link:
         raise ValueError(f"tile {tile_id} is not an endpoint of {self}")
 
 
+def _check_range(link: Link, num_tiles: int) -> None:
+    """Raise ``ValueError`` when an endpoint lies outside a grid of ``num_tiles`` tiles."""
+    if link.a < 0 or link.b >= num_tiles:
+        raise ValueError(f"{link} has a tile_id out of range [0, {num_tiles})")
+
+
 def link_kind(link: Link, grid: Grid3D) -> LinkKind:
     """Classify a link as planar (same layer) or vertical (same column)."""
-    ca, cb = grid.coord(link.a), grid.coord(link.b)
-    if ca.same_layer(cb):
+    per_layer = grid.n * grid.n
+    _check_range(link, per_layer * grid.layers)
+    if link.a // per_layer == link.b // per_layer:
         return LinkKind.PLANAR
-    if ca.same_column(cb):
+    if link.a % per_layer == link.b % per_layer:
         return LinkKind.VERTICAL
     raise ValueError(f"{link} is neither planar nor vertical (diagonal links are not allowed)")
 
@@ -99,41 +107,69 @@ def link_lengths_array(links: Sequence[Link] | Iterable[Link], grid: Grid3D) -> 
 
 def is_feasible_link(link: Link, config: PlatformConfig) -> bool:
     """True when the link respects planar-length / vertical-adjacency rules."""
-    grid = config.grid
-    ca, cb = grid.coord(link.a), grid.coord(link.b)
-    if ca.same_layer(cb):
-        return 1 <= ca.planar_distance(cb) <= config.max_planar_length
-    if ca.same_column(cb):
-        return abs(ca.z - cb.z) == 1
+    n = config.n
+    per_layer = n * n
+    _check_range(link, per_layer * config.layers)
+    layer_a, column_a = divmod(link.a, per_layer)
+    layer_b, column_b = divmod(link.b, per_layer)
+    if layer_a == layer_b:
+        y_a, x_a = divmod(column_a, n)
+        y_b, x_b = divmod(column_b, n)
+        return 1 <= abs(x_a - x_b) + abs(y_a - y_b) <= config.max_planar_length
+    if column_a == column_b:
+        return abs(layer_a - layer_b) == 1
     return False
 
 
-def candidate_planar_links(config: PlatformConfig) -> list[Link]:
-    """All feasible planar links for the platform, in deterministic order."""
-    grid = config.grid
-    candidates: list[Link] = []
-    for a in range(config.num_tiles):
-        coord_a = grid.coord(a)
-        for b in range(a + 1, config.num_tiles):
-            coord_b = grid.coord(b)
-            if not coord_a.same_layer(coord_b):
-                continue
-            if 1 <= coord_a.planar_distance(coord_b) <= config.max_planar_length:
-                candidates.append(Link(a, b))
-    return candidates
+@lru_cache(maxsize=16)
+def _candidate_pools(n: int, layers: int, max_planar_length: int) -> tuple[tuple, tuple, tuple]:
+    """Planar pool, vertical pool and per-tile incident candidates, built once per geometry.
+
+    Every pool is in the ``(a, b)`` row-major order the seeded operators index into.
+    """
+    grid = Grid3D(n, layers)
+    num_tiles, per_layer = grid.num_tiles, grid.tiles_per_layer
+    x, y, z = grid.coords_arrays(np.arange(num_tiles))
+    ends_a, ends_b = np.triu_indices(num_tiles, k=1)
+    distance = np.abs(x[ends_a] - x[ends_b]) + np.abs(y[ends_a] - y[ends_b])
+    keep = (z[ends_a] == z[ends_b]) & (distance <= max_planar_length)
+    planar = tuple(map(Link, ends_a[keep].tolist(), ends_b[keep].tolist()))
+    vertical = tuple(Link(a, a + per_layer) for a in range(num_tiles - per_layer))
+    incident: list[list[Link]] = [[] for _ in range(num_tiles)]
+    for link in planar + vertical:
+        incident[link.a].append(link)
+        incident[link.b].append(link)
+    return planar, vertical, tuple(map(tuple, incident))
 
 
-def candidate_vertical_links(config: PlatformConfig) -> list[Link]:
-    """All feasible vertical (TSV) links, i.e. every vertically adjacent tile pair."""
-    grid = config.grid
-    candidates: list[Link] = []
-    for a in range(config.num_tiles):
-        for b in grid.vertical_neighbors(a):
-            if b > a:
-                candidates.append(Link(a, b))
-    return candidates
+def candidate_planar_links(config: PlatformConfig) -> tuple[Link, ...]:
+    """All feasible planar links for the platform, in deterministic order (cached)."""
+    return _candidate_pools(config.n, config.layers, config.max_planar_length)[0]
+
+
+def candidate_vertical_links(config: PlatformConfig) -> tuple[Link, ...]:
+    """All feasible vertical (TSV) links, i.e. every vertically adjacent tile pair (cached)."""
+    return _candidate_pools(config.n, config.layers, config.max_planar_length)[1]
+
+
+def candidate_links_by_endpoint(config: PlatformConfig) -> tuple[tuple[Link, ...], ...]:
+    """Candidate links incident to each tile, planar pool first, then vertical (cached)."""
+    return _candidate_pools(config.n, config.layers, config.max_planar_length)[2]
+
+
+def pools_by_kind(config: PlatformConfig) -> dict[LinkKind, tuple[Link, ...]]:
+    """The cached planar and vertical candidate pools, keyed by kind (planar first)."""
+    return {
+        LinkKind.PLANAR: candidate_planar_links(config),
+        LinkKind.VERTICAL: candidate_vertical_links(config),
+    }
+
+
+def budgets_by_kind(config: PlatformConfig) -> dict[LinkKind, int]:
+    """The platform's link budget of each kind (planar first)."""
+    return {LinkKind.PLANAR: config.num_planar_links, LinkKind.VERTICAL: config.num_vertical_links}
 
 
 def candidate_links(config: PlatformConfig) -> list[Link]:
     """All feasible links (planar then vertical), in deterministic order."""
-    return candidate_planar_links(config) + candidate_vertical_links(config)
+    return [*candidate_planar_links(config), *candidate_vertical_links(config)]

@@ -38,14 +38,7 @@ import numpy as np
 
 from repro.noc.constraints import ConstraintChecker, is_connected
 from repro.noc.design import MoveDelta, NocDesign, annotate_move
-from repro.noc.links import (
-    Link,
-    LinkKind,
-    candidate_planar_links,
-    candidate_vertical_links,
-    is_feasible_link,
-    link_kind,
-)
+from repro.noc.links import Link, is_feasible_link, link_kind, pools_by_kind
 from repro.noc.platform import PEType, PlatformConfig
 from repro.utils.rng import RngLike, ensure_rng
 
@@ -66,8 +59,7 @@ class MoveGenerator:
         self.config = config
         self.grid = config.grid
         self.checker = ConstraintChecker(config)
-        self._planar_pool = candidate_planar_links(config)
-        self._vertical_pool = candidate_vertical_links(config)
+        self._pools = pools_by_kind(config)
         self.workload = workload
         self._pair_sources: np.ndarray | None = None
         self._pair_targets: np.ndarray | None = None
@@ -191,7 +183,7 @@ class MoveGenerator:
         for idx in order[: min(12, design.num_links)]:
             victim = design.links[int(idx)]
             kind = link_kind(victim, self.grid)
-            pool = self._planar_pool if kind is LinkKind.PLANAR else self._vertical_pool
+            pool = self._pools[kind]
             if len(pool) <= sum(1 for l in links if link_kind(l, self.grid) is kind):
                 continue
             for _ in range(16):
@@ -223,10 +215,6 @@ class MoveGenerator:
                         ),
                     )
         return None
-
-    def add_remove_link_pair(self, design: NocDesign, rng: RngLike = None) -> NocDesign | None:
-        """Alias of :meth:`rewire_link` kept for API compatibility with MOOS-style moves."""
-        return self.rewire_link(design, rng)
 
     # ------------------------------------------------------------------ #
     # Traffic-aware moves (require a workload)

@@ -32,13 +32,13 @@ from repro.noc.constraints import (
     ViolationReport,
     _enforce_degree_cap,
     _fill_budgets,
-    _is_redundant,
     _restore_connectivity,
     is_connected,
     random_link_placement,
+    redundant_links,
 )
 from repro.noc.design import NocDesign
-from repro.noc.links import LinkKind, is_feasible_link
+from repro.noc.links import budgets_by_kind, is_feasible_link
 from repro.noc.platform import PEType, PlatformConfig
 from repro.utils.rng import ensure_rng
 
@@ -231,20 +231,16 @@ def _drop_invalid_links(design: NocDesign, config: PlatformConfig) -> NocDesign:
 
 def _trim_budgets(design: NocDesign, config: PlatformConfig, rng) -> NocDesign:
     """Remove excess links per kind, preferring redundant (non-bridging) ones."""
-    grid = config.grid
-    partition = design.links_by_kind(grid)
+    partition = design.links_by_kind(config.grid)
     links = set(design.links)
     changed = False
-    for kind, budget in (
-        (LinkKind.PLANAR, config.num_planar_links),
-        (LinkKind.VERTICAL, config.num_vertical_links),
-    ):
+    for kind, budget in budgets_by_kind(config).items():
         of_kind = sorted(partition[kind])
         excess = len(of_kind) - budget
         while excess > 0:
-            current = NocDesign(placement=design.placement, links=tuple(sorted(links)))
             candidates = [link for link in of_kind if link in links]
-            redundant = [link for link in candidates if _is_redundant(link, current)]
+            non_bridges = redundant_links(links, design.num_tiles)
+            redundant = [link for link in candidates if link in non_bridges]
             pool = redundant or candidates
             victim = pool[int(rng.integers(len(pool)))]
             links.discard(victim)

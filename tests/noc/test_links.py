@@ -1,5 +1,7 @@
 """Tests for link modelling and candidate enumeration."""
 
+import dataclasses
+
 import pytest
 
 from repro.noc.geometry import Grid3D
@@ -7,6 +9,7 @@ from repro.noc.links import (
     Link,
     LinkKind,
     candidate_links,
+    candidate_links_by_endpoint,
     candidate_planar_links,
     candidate_vertical_links,
     is_feasible_link,
@@ -99,3 +102,124 @@ class TestCandidateEnumeration:
         # layer contributes C(4,2) = 6 planar candidates.
         config = PlatformConfig.tiny_2x2x2()
         assert len(candidate_planar_links(config)) == 12
+
+
+# ---------------------------------------------------------------------- #
+# The cached pools and the coordinate-free link checks against the
+# coordinate-based reference scans they replaced.
+# ---------------------------------------------------------------------- #
+PLATFORM_FACTORIES = [
+    PlatformConfig.tiny_2x2x2,
+    PlatformConfig.small_3x3x3,
+    PlatformConfig.paper_4x4x4,
+    PlatformConfig.big_8x8x4,
+    PlatformConfig.flat_4x4x1,
+    lambda: dataclasses.replace(PlatformConfig.paper_4x4x4(), max_planar_length=2),
+]
+PLATFORM_IDS = ["tiny", "small", "paper", "big", "flat", "paper-max-length-2"]
+
+
+@pytest.fixture(params=PLATFORM_FACTORIES, ids=PLATFORM_IDS)
+def platform(request) -> PlatformConfig:
+    return request.param()
+
+
+def reference_planar_links(config: PlatformConfig) -> list[Link]:
+    """The O(N^2) TileCoord scan the cached planar pool replaced."""
+    grid = config.grid
+    candidates = []
+    for a in range(config.num_tiles):
+        coord_a = grid.coord(a)
+        for b in range(a + 1, config.num_tiles):
+            coord_b = grid.coord(b)
+            if not coord_a.same_layer(coord_b):
+                continue
+            if 1 <= coord_a.planar_distance(coord_b) <= config.max_planar_length:
+                candidates.append(Link(a, b))
+    return candidates
+
+
+def reference_vertical_links(config: PlatformConfig) -> list[Link]:
+    grid = config.grid
+    return [
+        Link(a, b)
+        for a in range(config.num_tiles)
+        for b in grid.vertical_neighbors(a)
+        if b > a
+    ]
+
+
+def reference_link_kind(link: Link, grid: Grid3D) -> LinkKind:
+    ca, cb = grid.coord(link.a), grid.coord(link.b)
+    if ca.same_layer(cb):
+        return LinkKind.PLANAR
+    if ca.same_column(cb):
+        return LinkKind.VERTICAL
+    raise ValueError("diagonal")
+
+
+def reference_is_feasible_link(link: Link, config: PlatformConfig) -> bool:
+    ca, cb = config.grid.coord(link.a), config.grid.coord(link.b)
+    if ca.same_layer(cb):
+        return 1 <= ca.planar_distance(cb) <= config.max_planar_length
+    if ca.same_column(cb):
+        return abs(ca.z - cb.z) == 1
+    return False
+
+
+class TestCachedPools:
+    def test_pools_equal_the_reference_scan_in_order(self, platform):
+        assert list(candidate_planar_links(platform)) == reference_planar_links(platform)
+        assert list(candidate_vertical_links(platform)) == reference_vertical_links(platform)
+        assert candidate_links(platform) == (
+            reference_planar_links(platform) + reference_vertical_links(platform)
+        )
+
+    def test_pools_are_tuples_built_once(self, platform):
+        for pool in (candidate_planar_links, candidate_vertical_links, candidate_links_by_endpoint):
+            first = pool(platform)
+            assert isinstance(first, tuple)
+            assert pool(platform) is first
+            assert pool(dataclasses.replace(platform, name="renamed")) is first
+
+    def test_candidate_links_stays_a_fresh_list(self, platform):
+        first = candidate_links(platform)
+        assert isinstance(first, list)
+        assert candidate_links(platform) is not first
+
+    def test_by_endpoint_lists_incident_candidates_in_pool_order(self, platform):
+        by_endpoint = candidate_links_by_endpoint(platform)
+        assert len(by_endpoint) == platform.num_tiles
+        pool = reference_planar_links(platform) + reference_vertical_links(platform)
+        for tile, incident in enumerate(by_endpoint):
+            assert list(incident) == [link for link in pool if tile in (link.a, link.b)]
+
+    def test_max_planar_length_keys_the_cache(self):
+        paper = PlatformConfig.paper_4x4x4()
+        shorter = dataclasses.replace(paper, max_planar_length=2)
+        assert len(candidate_planar_links(shorter)) < len(candidate_planar_links(paper))
+
+
+class TestCoordinateFreeChecks:
+    def test_kind_and_feasibility_match_the_coordinate_reference(self, platform):
+        grid = platform.grid
+        for a in range(platform.num_tiles):
+            for b in range(a + 1, platform.num_tiles):
+                link = Link(a, b)
+                assert is_feasible_link(link, platform) == reference_is_feasible_link(link, platform)
+                try:
+                    expected = reference_link_kind(link, grid)
+                except ValueError:
+                    with pytest.raises(ValueError):
+                        link_kind(link, grid)
+                else:
+                    assert link_kind(link, grid) is expected
+
+    def test_out_of_range_tiles_raise(self, platform):
+        grid = platform.grid
+        num_tiles = platform.num_tiles
+        for link in (Link(0, num_tiles), Link(-1, 0), Link(num_tiles, num_tiles + 1)):
+            with pytest.raises(ValueError, match="out of range"):
+                link_kind(link, grid)
+            with pytest.raises(ValueError, match="out of range"):
+                is_feasible_link(link, platform)
