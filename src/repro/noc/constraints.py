@@ -644,41 +644,8 @@ def _find_bridge(main: Iterable[int], others: Iterable[int], design: NocDesign, 
     return None
 
 
-def redundant_links(links: Iterable[Link], num_tiles: int) -> frozenset[Link]:
-    """Links whose removal keeps the network connected; none when it is disconnected.
-
-    One iterative Tarjan bridge pass, O(tiles + links): on a connected network
-    these are the non-bridges.  Removing a link removes all its copies, so
-    duplicates count once.
-    """
-    if not num_tiles:
-        return frozenset()
-    distinct = list(dict.fromkeys(links))
-    adjacency: list[list[tuple[int, int]]] = [[] for _ in range(num_tiles)]
-    for index, link in enumerate(distinct):
-        adjacency[link.a].append((link.b, index))
-        adjacency[link.b].append((link.a, index))
-    order = {0: 0}  # discovery time of every visited tile
-    low = [0] * num_tiles
-    bridges: set[int] = set()
-    # Depth-first from tile 0; a frame is (tile, link it was entered by, its neighbours).
-    stack = [(0, -1, iter(adjacency[0]))]
-    while stack:
-        tile, via, neighbors = stack[-1]
-        for neighbor, index in neighbors:
-            if neighbor not in order:
-                order[neighbor] = low[neighbor] = len(order)
-                stack.append((neighbor, index, iter(adjacency[neighbor])))
-                break
-            if index != via:
-                low[tile] = min(low[tile], order[neighbor])
-        else:
-            stack.pop()
-            if stack:
-                parent = stack[-1][0]
-                low[parent] = min(low[parent], low[tile])
-                if low[tile] > order[parent]:
-                    bridges.add(via)
-    if len(order) < num_tiles:
-        return frozenset()
-    return frozenset(link for index, link in enumerate(distinct) if index not in bridges)
+def _is_redundant(link: Link, design: NocDesign) -> bool:
+    """True when removing ``link`` keeps the network connected."""
+    remaining = tuple(l for l in design.links if l != link)
+    trimmed = NocDesign(placement=design.placement, links=remaining)
+    return is_connected(trimmed)

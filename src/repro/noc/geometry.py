@@ -16,6 +16,18 @@ from typing import Iterator
 import numpy as np
 
 
+def tile_xyz(tile_id: int | np.ndarray, n: int) -> tuple:
+    """``(x, y, z)`` of a linear tile id on ``n x n`` layers, without a range check.
+
+    The single authoritative decode of the linear tile layout (row-major
+    within a layer, layer after layer).  Plain ints give ints; an int array
+    gives three arrays.
+    """
+    z, rest = divmod(tile_id, n * n)
+    y, x = divmod(rest, n)
+    return x, y, z
+
+
 @dataclass(frozen=True, order=True)
 class TileCoord:
     """Coordinate of a tile inside the 3D grid."""
@@ -76,21 +88,16 @@ class Grid3D:
         """Convert a linear tile index to a coordinate."""
         if not (0 <= tile_id < self.num_tiles):
             raise ValueError(f"tile_id {tile_id} out of range [0, {self.num_tiles})")
-        z, rest = divmod(tile_id, self.tiles_per_layer)
-        y, x = divmod(rest, self.n)
+        x, y, z = tile_xyz(tile_id, self.n)
         return TileCoord(x=x, y=y, z=z)
 
     def coords_arrays(self, tile_ids: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Vectorized :meth:`coord`: ``(x, y, z)`` arrays for an array of tile ids.
 
-        The single authoritative decode of the linear tile layout — vectorized
-        callers (routing, thermal) use this instead of re-deriving the
-        ``divmod`` arithmetic.
+        Vectorized callers (routing, thermal) use this, or :func:`tile_xyz`,
+        instead of re-deriving the ``divmod`` arithmetic.
         """
-        tile_ids = np.asarray(tile_ids, dtype=np.int64)
-        z, rest = np.divmod(tile_ids, self.tiles_per_layer)
-        y, x = np.divmod(rest, self.n)
-        return x, y, z
+        return tile_xyz(np.asarray(tile_ids, dtype=np.int64), self.n)
 
     def column_id(self, tile_id: int) -> int:
         """Return the single-tile-stack (column) index of a tile."""

@@ -19,7 +19,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from repro.noc.geometry import Grid3D
+from repro.noc.geometry import Grid3D, tile_xyz
 from repro.noc.platform import PlatformConfig
 
 
@@ -75,11 +75,13 @@ def _check_range(link: Link, num_tiles: int) -> None:
 
 def link_kind(link: Link, grid: Grid3D) -> LinkKind:
     """Classify a link as planar (same layer) or vertical (same column)."""
-    per_layer = grid.n * grid.n
-    _check_range(link, per_layer * grid.layers)
-    if link.a // per_layer == link.b // per_layer:
+    n = grid.n
+    _check_range(link, n * n * grid.layers)
+    x_a, y_a, z_a = tile_xyz(link.a, n)
+    x_b, y_b, z_b = tile_xyz(link.b, n)
+    if z_a == z_b:
         return LinkKind.PLANAR
-    if link.a % per_layer == link.b % per_layer:
+    if x_a == x_b and y_a == y_b:
         return LinkKind.VERTICAL
     raise ValueError(f"{link} is neither planar nor vertical (diagonal links are not allowed)")
 
@@ -108,16 +110,13 @@ def link_lengths_array(links: Sequence[Link] | Iterable[Link], grid: Grid3D) -> 
 def is_feasible_link(link: Link, config: PlatformConfig) -> bool:
     """True when the link respects planar-length / vertical-adjacency rules."""
     n = config.n
-    per_layer = n * n
-    _check_range(link, per_layer * config.layers)
-    layer_a, column_a = divmod(link.a, per_layer)
-    layer_b, column_b = divmod(link.b, per_layer)
-    if layer_a == layer_b:
-        y_a, x_a = divmod(column_a, n)
-        y_b, x_b = divmod(column_b, n)
+    _check_range(link, n * n * config.layers)
+    x_a, y_a, z_a = tile_xyz(link.a, n)
+    x_b, y_b, z_b = tile_xyz(link.b, n)
+    if z_a == z_b:
         return 1 <= abs(x_a - x_b) + abs(y_a - y_b) <= config.max_planar_length
-    if column_a == column_b:
-        return abs(layer_a - layer_b) == 1
+    if x_a == x_b and y_a == y_b:
+        return abs(z_a - z_b) == 1
     return False
 
 

@@ -9,7 +9,7 @@ baseline design.  :func:`mesh_links` produces the canonical mesh link set and
 from __future__ import annotations
 
 from repro.noc.design import NocDesign
-from repro.noc.links import Link, candidate_planar_links, candidate_vertical_links, link_length
+from repro.noc.links import Link
 from repro.noc.platform import PlatformConfig
 from repro.utils.rng import RngLike, ensure_rng
 
@@ -21,9 +21,14 @@ def mesh_links(config: PlatformConfig) -> tuple[Link, ...]:
     full mesh (the paper's budgets are exactly the mesh counts).
     """
     grid = config.grid
-    planar = [link for link in candidate_planar_links(config) if link_length(link, grid) == 1]
-    vertical = candidate_vertical_links(config)
-    num_planar, num_vertical = len(planar), len(vertical)
+    links: set[Link] = set()
+    for tile_id in grid.tiles():
+        for neighbor in grid.planar_neighbors(tile_id):
+            links.add(Link.make(tile_id, neighbor))
+        for neighbor in grid.vertical_neighbors(tile_id):
+            links.add(Link.make(tile_id, neighbor))
+    num_planar = sum(1 for l in links if grid.coord(l.a).same_layer(grid.coord(l.b)))
+    num_vertical = len(links) - num_planar
     if num_planar > config.num_planar_links:
         raise ValueError(
             f"platform planar budget {config.num_planar_links} is smaller than the "
@@ -34,7 +39,7 @@ def mesh_links(config: PlatformConfig) -> tuple[Link, ...]:
             f"platform vertical budget {config.num_vertical_links} is smaller than the "
             f"mesh requirement {num_vertical}"
         )
-    return tuple(sorted([*planar, *vertical]))
+    return tuple(sorted(links))
 
 
 def mesh_placement(config: PlatformConfig, rng: RngLike = None) -> tuple[int, ...]:
@@ -70,9 +75,12 @@ def mesh_design(config: PlatformConfig, rng: RngLike = None) -> NocDesign:
     """
     links = set(mesh_links(config))
     design = NocDesign(placement=mesh_placement(config, rng), links=tuple(sorted(links)))
-    # The mesh holds every vertical candidate; the rest of its links are planar.
-    missing = config.num_planar_links - (len(links) - len(candidate_vertical_links(config)))
+    grid = config.grid
+    planar_now = sum(1 for l in links if grid.coord(l.a).same_layer(grid.coord(l.b)))
+    missing = config.num_planar_links - planar_now
     if missing > 0:
+        from repro.noc.links import candidate_planar_links
+
         degrees = design.degrees()
         for link in candidate_planar_links(config):
             if missing == 0:

@@ -216,6 +216,10 @@ class MoveGenerator:
                     )
         return None
 
+    def add_remove_link_pair(self, design: NocDesign, rng: RngLike = None) -> NocDesign | None:
+        """Alias of :meth:`rewire_link` kept for API compatibility with MOOS-style moves."""
+        return self.rewire_link(design, rng)
+
     # ------------------------------------------------------------------ #
     # Traffic-aware moves (require a workload)
     # ------------------------------------------------------------------ #

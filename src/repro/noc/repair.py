@@ -32,10 +32,10 @@ from repro.noc.constraints import (
     ViolationReport,
     _enforce_degree_cap,
     _fill_budgets,
+    _is_redundant,
     _restore_connectivity,
     is_connected,
     random_link_placement,
-    redundant_links,
 )
 from repro.noc.design import NocDesign
 from repro.noc.links import budgets_by_kind, is_feasible_link
@@ -238,9 +238,9 @@ def _trim_budgets(design: NocDesign, config: PlatformConfig, rng) -> NocDesign:
         of_kind = sorted(partition[kind])
         excess = len(of_kind) - budget
         while excess > 0:
+            current = NocDesign(placement=design.placement, links=tuple(sorted(links)))
             candidates = [link for link in of_kind if link in links]
-            non_bridges = redundant_links(links, design.num_tiles)
-            redundant = [link for link in candidates if link in non_bridges]
+            redundant = [link for link in candidates if _is_redundant(link, current)]
             pool = redundant or candidates
             victim = pool[int(rng.integers(len(pool)))]
             links.discard(victim)

@@ -1,8 +1,9 @@
 """Tests for the 3D tile grid geometry."""
 
+import numpy as np
 import pytest
 
-from repro.noc.geometry import Grid3D, TileCoord
+from repro.noc.geometry import Grid3D, TileCoord, tile_xyz
 
 
 class TestTileCoord:
@@ -40,6 +41,15 @@ class TestGrid3D:
         grid = Grid3D(4, 4)
         for tile_id in range(grid.num_tiles):
             assert grid.tile_id(grid.coord(tile_id)) == tile_id
+
+    def test_tile_xyz_inverts_tile_id_for_ints_and_arrays(self):
+        grid = Grid3D(4, 3)
+        xs, ys, zs = tile_xyz(np.arange(grid.num_tiles), grid.n)
+        for tile_id in range(grid.num_tiles):
+            x, y, z = tile_xyz(tile_id, grid.n)
+            assert all(type(value) is int for value in (x, y, z))
+            assert grid.tile_id(TileCoord(x, y, z)) == tile_id
+            assert (xs[tile_id], ys[tile_id], zs[tile_id]) == (x, y, z)
 
     def test_tile_id_ordering_is_layer_major(self):
         grid = Grid3D(3, 2)

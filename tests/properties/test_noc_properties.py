@@ -4,13 +4,7 @@ import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.noc.constraints import (
-    ConstraintChecker,
-    is_connected,
-    random_design,
-    redundant_links,
-    repair_links,
-)
+from repro.noc.constraints import ConstraintChecker, is_connected, random_design, repair_links
 from repro.noc.crossover import crossover
 from repro.noc.design import NocDesign
 from repro.noc.geometry import Grid3D
@@ -19,7 +13,6 @@ from repro.noc.moves import MoveGenerator
 from repro.noc.platform import PlatformConfig
 
 TINY = PlatformConfig.tiny_2x2x2()
-SMALL = PlatformConfig.small_3x3x3()
 CHECKER = ConstraintChecker(TINY)
 MOVES = MoveGenerator(TINY)
 
@@ -98,57 +91,3 @@ def test_link_lengths_within_platform_limits(seed):
             assert 1 <= length <= TINY.max_planar_length
         else:
             assert length == 1
-
-
-def _is_redundant(link, design):
-    """Reference oracle: rebuild the design without ``link`` and re-check connectivity."""
-    remaining = tuple(other for other in design.links if other != link)
-    return is_connected(NocDesign(placement=design.placement, links=remaining))
-
-
-def _redundant_by_oracle(design):
-    return frozenset(link for link in set(design.links) if _is_redundant(link, design))
-
-
-# The bridge-pass properties run under the active hypothesis profile
-# (tests/conftest.py), so CI replays them derandomized.
-@given(
-    seed=st.integers(min_value=0, max_value=5_000),
-    small=st.booleans(),
-    drop=st.integers(min_value=0, max_value=40),
-    duplicates=st.integers(min_value=0, max_value=3),
-)
-def test_redundant_links_match_the_removal_oracle(seed, small, drop, duplicates):
-    """Random designs with links dropped (often disconnecting them) and links duplicated."""
-    config = SMALL if small else TINY
-    rng = np.random.default_rng(seed)
-    design = random_design(config, rng)
-    links = list(design.links)
-    for _ in range(min(drop, len(links) - 1)):
-        links.pop(int(rng.integers(len(links))))
-    links += [links[int(rng.integers(len(links)))] for _ in range(duplicates)]
-    damaged = NocDesign(placement=design.placement, links=tuple(links))
-    assert redundant_links(damaged.links, damaged.num_tiles) == _redundant_by_oracle(damaged)
-
-
-@given(seed=st.integers(min_value=0, max_value=5_000), small=st.booleans())
-def test_connected_designs_have_their_non_bridges_redundant(seed, small):
-    config = SMALL if small else TINY
-    design = random_design(config, seed)
-    assert is_connected(design)
-    assert redundant_links(design.links, design.num_tiles) == _redundant_by_oracle(design)
-
-
-@given(seed=st.integers(min_value=0, max_value=5_000), small=st.booleans())
-def test_disconnected_designs_have_no_redundant_link(seed, small):
-    """Cutting every link of one tile strands it; then no removal reconnects anything."""
-    config = SMALL if small else TINY
-    rng = np.random.default_rng(seed)
-    design = random_design(config, rng)
-    stranded = int(rng.integers(config.num_tiles))
-    cut = NocDesign(
-        placement=design.placement,
-        links=tuple(link for link in design.links if stranded not in (link.a, link.b)),
-    )
-    assert not is_connected(cut)
-    assert redundant_links(cut.links, cut.num_tiles) == frozenset() == _redundant_by_oracle(cut)
