@@ -240,17 +240,23 @@ def _neighbor_broods(size: int = 64, seed: int = 42, platform=None, workload=Non
     return parent, {"placement": placement, "mixed": mixed, "rewire": rewire}
 
 
-def _time_brood(routing_cache: bool, parent, brood, workload=None) -> tuple[float, np.ndarray, dict]:
-    """Seconds to batch-evaluate ``brood`` with the engine on or off.
+class _FreshRoutingEvaluator(ObjectiveEvaluator):
+    """Baseline evaluator: a fresh routing-table build for every design."""
+
+    def _routing(self, design):
+        return RoutingTables(design, self.config.grid)
+
+
+def _time_brood(engine: bool, parent, brood, workload=None) -> tuple[float, np.ndarray, dict]:
+    """Seconds to batch-evaluate ``brood`` with the engine, or with fresh builds.
 
     The parent is evaluated first (outside the timed section) so the engine
     starts with the parent topology cached — exactly the state a local search
     is in when it scores a neighbour brood.
     """
     workload = workload if workload is not None else WORKLOAD
-    evaluator = ObjectiveEvaluator(
-        workload, scenario_for(5), cache_size=0, routing_cache=routing_cache
-    )
+    evaluator_cls = ObjectiveEvaluator if engine else _FreshRoutingEvaluator
+    evaluator = evaluator_cls(workload, scenario_for(5), cache_size=0)
     evaluator.evaluate(parent)
     start = time.perf_counter()
     matrix = evaluator.evaluate_many(brood)

@@ -123,8 +123,6 @@ def _study_from_args(args: argparse.Namespace) -> Study:
         study.seed(args.seed)
     if args.scenarios:
         study.scenarios(*args.scenarios)
-    if args.no_routing_cache:
-        study.routing_cache(False)
     return study
 
 
@@ -144,8 +142,6 @@ def _add_study_arguments(parser: argparse.ArgumentParser) -> None:
                         help="fault-scenario grid axis, e.g. identity "
                         "'link_failure(k=1,mode=remove)' (docs/scenarios.md; "
                         "non-identity scenarios need campaign mode)")
-    parser.add_argument("--no-routing-cache", action="store_true",
-                        help="disable the cross-design routing cache (perf escape hatch)")
     parser.add_argument("--no-progress", dest="progress", action="store_false",
                         help="do not stream per-iteration/shard progress events")
 
@@ -303,11 +299,6 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
         settings["max_workers"] = args.workers
     if args.no_resume:
         settings["resume"] = False
-    if args.follow and not settings.get("event_log", True):
-        # --follow streams the durable log by definition; an explicit flag
-        # outranks the config file's event_log=false.
-        print("note: --follow enables the event log despite campaign.event_log=false")
-        settings["event_log"] = True
     settings["output_dir"] = output_dir
     study.campaign(**settings)
     campaign = study.campaign_config()

@@ -43,14 +43,12 @@ class MOELA(PopulationOptimizer):
         problem: Problem,
         config: MOELAConfig | None = None,
         rng: RngLike = None,
-        batch_evaluation: bool = True,
     ):
         config = config if config is not None else MOELAConfig()
         super().__init__(
             problem,
             config.population_size,
             ensure_rng(rng if rng is not None else config.seed),
-            batch_evaluation=batch_evaluation,
         )
         self.config = config
         self.weights = uniform_weights(problem.num_objectives, config.population_size, self.rng)
@@ -117,7 +115,7 @@ class MOELA(PopulationOptimizer):
             scale=self.objective_scale(),
             rng=self.rng,
             evaluate=self.evaluate,
-            evaluate_many=self.evaluate_batch if self.batch_evaluation else None,
+            evaluate_many=self.evaluate_batch,
             should_stop=stop,
             max_children=budget.remaining_evaluations(self.evaluations),
             repair=self.brood_repairer(),
@@ -142,7 +140,7 @@ class MOELA(PopulationOptimizer):
             scale=self.objective_scale(),
             rng=self.rng,
             evaluate=self.evaluate,
-            evaluate_many=self.evaluate_batch if self.batch_evaluation else None,
+            evaluate_many=self.evaluate_batch,
             repair=self.brood_repairer(),
         )
         self.reference = np.minimum(self.reference, outcome.objectives)

@@ -124,7 +124,10 @@ class CampaignConfig:
     A campaign runs every cell of the grid defined by ``algorithms`` and the
     experiment's ``applications`` / ``objective_counts``, each with its own
     derived seed, and streams every cell's result to one JSON shard next to a
-    manifest (see :func:`repro.experiments.runner.run_campaign`).
+    manifest (see :func:`repro.experiments.runner.run_campaign`).  Every
+    campaign event, pooled or inline, is appended to a durable
+    ``events.jsonl`` next to the manifest, and each cell's routing-engine
+    counters are recorded in its shard and summarised in the manifest.
 
     Parameters
     ----------
@@ -140,22 +143,6 @@ class CampaignConfig:
     resume:
         When True, cells whose shard already exists and parses are skipped —
         re-running a killed campaign only executes the missing cells.
-    routing_cache:
-        Routes every cell's evaluation through the cross-design
-        :class:`~repro.noc.routing_engine.RoutingEngine` route cache (the
-        default); ``False`` is the escape hatch selecting the historical
-        fresh-build-per-design path.  Each cell's hit/miss/repair counters are
-        recorded in its shard and summarised in the campaign manifest.
-    event_log:
-        Appends every campaign event (shard starts/completions and, from
-        every cell — pooled or inline — the per-iteration optimiser events)
-        to a durable ``events.jsonl`` next to the manifest, and replays it
-        into the caller's subscribers, so pooled campaigns stream the same
-        events inline ones do (callbacks cannot cross the process-pool
-        boundary; the log can).  Observation-only: seeded campaign results
-        are bit-identical with the log on or off.  ``False`` falls back to
-        direct in-process callbacks (pool workers then only report shard
-        completions).
     repair_infeasible:
         Enables the opt-in directed feasibility repair path inside every
         cell's optimiser (see :mod:`repro.noc.repair`): infeasible brood
@@ -177,8 +164,6 @@ class CampaignConfig:
     algorithms: tuple[str, ...] = ()
     max_workers: int = 1
     resume: bool = True
-    routing_cache: bool = True
-    event_log: bool = True
     repair_infeasible: bool = False
     repair_max_rounds: int = 4
     repair_candidates_per_round: int = 8

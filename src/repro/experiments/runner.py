@@ -71,7 +71,6 @@ def make_problem(
     experiment: ExperimentConfig,
     application: str,
     num_objectives: int,
-    routing_cache: bool = True,
     scenario_model: str = "identity",
     scenario_seed: int = 0,
 ) -> NocDesignProblem:
@@ -85,7 +84,6 @@ def make_problem(
     return NocDesignProblem(
         workload,
         scenario=num_objectives,
-        routing_cache=routing_cache,
         scenario_model=scenario_model,
         scenario_seed=scenario_seed,
     )
@@ -472,57 +470,38 @@ def _run_campaign_cell(
     campaign: CampaignConfig,
     cell: CampaignCell,
     output_dir: str,
-    on_event: EventCallback | None = None,
-    event_log: "str | None" = None,
-) -> dict[str, Any]:
+) -> None:
     """Run one grid cell and stream its result to the cell's shard.
 
     Executed inside pool workers, so it takes only picklable arguments and
     writes the (potentially large) result to disk in the worker instead of
     shipping it back to the parent.  The cell's events — ``shard_started``,
     the optimiser's ``run_started``/``iteration``/``run_finished`` stream and
-    ``shard_finished`` with the routing-cache counters — go to ``on_event``
-    (inline execution only; callbacks do not cross the process boundary)
-    and/or the durable event log named by ``event_log`` (a file name relative
-    to ``output_dir``, appended atomically — this is how pooled cells reach
-    the caller's subscribers).  ``shard_finished`` is appended *after* the
-    shard's atomic write, so a logged completion always refers to a readable
-    shard, however the campaign dies afterwards.
+    ``shard_finished`` with the routing-cache counters — are appended
+    atomically to the campaign's durable event log next to the shards; that
+    is how pooled and inline cells alike reach the caller's subscribers.
+    ``shard_finished`` is appended *after* the shard's atomic write, so a
+    logged completion always refers to a readable shard, however the
+    campaign dies afterwards.
     """
-    callbacks: list[EventCallback] = []
-    writer: EventLogWriter | None = None
-    if on_event is not None:
-        callbacks.append(on_event)
-    if event_log is not None:
-        writer = EventLogWriter(Path(output_dir) / event_log, origin=f"cell-{cell.key}")
-        callbacks.append(writer.append)
-    if not callbacks:
-        emit = None
-    elif len(callbacks) == 1:
-        emit = callbacks[0]
-    else:
-        def emit(event: StudyEvent, _callbacks=tuple(callbacks)) -> None:
-            for callback in _callbacks:
-                callback(event)
     experiment = campaign.experiment
     problem = make_problem(
         experiment,
         cell.application,
         cell.num_objectives,
-        routing_cache=campaign.routing_cache,
         scenario_model=cell.scenario,
         scenario_seed=cell.seed,
     )
+    writer = EventLogWriter(Path(output_dir) / EVENT_LOG_NAME, origin=f"cell-{cell.key}")
     try:
-        if emit is not None:
-            emit(_cell_event("shard_started", cell))
+        writer.append(_cell_event("shard_started", cell))
         result = run_algorithm(
             cell.algorithm,
             problem,
             experiment,
             budget=Budget.evaluations(campaign.cell_budget),
             seed=cell.seed,
-            on_event=emit,
+            on_event=writer.append,
             repair_infeasible=campaign.repair_infeasible,
             repair_budget=campaign.repair_budget() if campaign.repair_infeasible else None,
         )
@@ -537,26 +516,17 @@ def _run_campaign_cell(
                 "repair", {"attempted": 0, "repaired": 0, "evaluations": 0}
             )
         write_json_atomic(payload, Path(output_dir) / cell.shard_name)
-        outcome = {
-            "key": cell.key,
-            "evaluations": int(result.evaluations),
-            "elapsed_seconds": float(result.elapsed_seconds),
-            "routing_cache": routing_stats,
-        }
-        if emit is not None:
-            emit(
-                _cell_event(
-                    "shard_finished",
-                    cell,
-                    evaluations=outcome["evaluations"],
-                    elapsed_seconds=outcome["elapsed_seconds"],
-                    routing_cache=routing_stats,
-                )
+        writer.append(
+            _cell_event(
+                "shard_finished",
+                cell,
+                evaluations=int(result.evaluations),
+                elapsed_seconds=float(result.elapsed_seconds),
+                routing_cache=routing_stats,
             )
+        )
     finally:
-        if writer is not None:
-            writer.close()
-    return outcome
+        writer.close()
 
 
 def _cell_event(kind: str, cell: CampaignCell, **payload: Any) -> StudyEvent:
@@ -582,20 +552,15 @@ def _cell_event(kind: str, cell: CampaignCell, **payload: Any) -> StudyEvent:
 def _execute_campaign(
     campaign: CampaignConfig,
     output_dir: Path,
-    emit: EventCallback | None,
-    event_log: "str | None",
+    emit: EventCallback,
 ) -> CampaignSummary:
     """Blocking campaign body shared by the sync and async front doors.
 
-    ``emit`` receives the campaign-level events (``campaign_started``,
-    ``shard_skipped``, ``campaign_finished``) — in event-log mode it is the
-    parent's log writer, otherwise the caller's direct callback.  Cell-level
-    events come from :func:`_run_campaign_cell`: through the log when
-    ``event_log`` names one (pooled and inline cells alike, so both modes
-    produce the identical stream), or through ``emit`` directly in the legacy
-    no-log inline path.  In the no-log *pool* path workers stay silent, so
-    the parent emits submission-time ``shard_started`` events
-    (``payload["queued"] = True``) and completion-time ``shard_finished``.
+    ``emit`` — the parent's event-log writer — receives the campaign-level
+    events (``campaign_started``, ``shard_skipped``, ``campaign_finished``).
+    Cell-level events come from :func:`_run_campaign_cell`, which appends
+    them to the same log from pooled and inline cells alike, so both modes
+    produce the identical stream.
     """
     output_dir.mkdir(parents=True, exist_ok=True)
     cells = campaign_cells(campaign)
@@ -630,63 +595,33 @@ def _execute_campaign(
         done = set()
     pending = [cell for cell in cells if cell.key not in done]
 
-    if emit is not None:
-        emit(
-            StudyEvent(
-                kind="campaign_started",
-                payload={
-                    "cells": len(cells),
-                    "pending": len(pending),
-                    "skipped": len(cells) - len(pending),
-                    "output_dir": str(output_dir),
-                },
-            )
+    emit(
+        StudyEvent(
+            kind="campaign_started",
+            payload={
+                "cells": len(cells),
+                "pending": len(pending),
+                "skipped": len(cells) - len(pending),
+                "output_dir": str(output_dir),
+            },
         )
-        for cell in cells:
-            if cell.key in done:
-                emit(_cell_event("shard_skipped", cell))
+    )
+    for cell in cells:
+        if cell.key in done:
+            emit(_cell_event("shard_skipped", cell))
 
     if campaign.max_workers > 1 and len(pending) > 1:
         workers = min(campaign.max_workers, len(pending))
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = {}
-            for cell in pending:
-                if emit is not None and event_log is None:
-                    # Without the log the worker-side start is unobservable,
-                    # so shard_started marks *submission*; payload["queued"]
-                    # distinguishes it from a worker-side start.
-                    emit(_cell_event("shard_started", cell, queued=True))
-                futures[
-                    pool.submit(
-                        _run_campaign_cell,
-                        campaign,
-                        cell,
-                        str(output_dir),
-                        None,
-                        event_log,
-                    )
-                ] = cell
+            futures = [
+                pool.submit(_run_campaign_cell, campaign, cell, str(output_dir))
+                for cell in pending
+            ]
             for future in as_completed(futures):
-                outcome = future.result()
-                if emit is not None and event_log is None:
-                    emit(
-                        _cell_event(
-                            "shard_finished",
-                            futures[future],
-                            evaluations=outcome["evaluations"],
-                            elapsed_seconds=outcome["elapsed_seconds"],
-                            routing_cache=outcome["routing_cache"],
-                        )
-                    )
+                future.result()
     else:
         for cell in pending:
-            _run_campaign_cell(
-                campaign,
-                cell,
-                str(output_dir),
-                on_event=emit if event_log is None else None,
-                event_log=event_log,
-            )
+            _run_campaign_cell(campaign, cell, str(output_dir))
 
     # Fold every completed shard's routing-engine counters into the manifest
     # so a finished campaign reports its cache effectiveness without anyone
@@ -709,18 +644,17 @@ def _execute_campaign(
         manifest_payload["repair"] = repair_stats
     write_json_atomic(manifest_payload, manifest_path)
 
-    if emit is not None:
-        emit(
-            StudyEvent(
-                kind="campaign_finished",
-                payload={
-                    "executed": len(pending),
-                    "skipped": len(cells) - len(pending),
-                    "routing_cache": routing_stats,
-                    "output_dir": str(output_dir),
-                },
-            )
+    emit(
+        StudyEvent(
+            kind="campaign_finished",
+            payload={
+                "executed": len(pending),
+                "skipped": len(cells) - len(pending),
+                "routing_cache": routing_stats,
+                "output_dir": str(output_dir),
+            },
         )
+    )
 
     return CampaignSummary(
         output_dir=output_dir,
@@ -737,12 +671,10 @@ class CampaignExecution:
     """Non-blocking handle over a running campaign (see :func:`submit_campaign`).
 
     The campaign body runs on a background thread; this handle is the
-    caller's side of the event stream.  With the event log enabled (the
-    default) every event — campaign brackets from the parent, shard and
-    iteration events from the cells, pooled or inline — round-trips through
-    the durable ``events.jsonl`` and is replayed here by a manifest-side
-    tailer; with ``event_log=False`` the in-process callbacks feed an
-    in-memory buffer instead.  Either way, the subscriber passed to
+    caller's side of the event stream.  Every event — campaign brackets from
+    the parent, shard and iteration events from the cells, pooled or inline
+    — round-trips through the durable ``events.jsonl`` and is replayed here
+    by a manifest-side tailer.  The subscriber passed to
     :func:`submit_campaign` is invoked on the thread that consumes the
     handle (:meth:`wait`, :meth:`events` or :meth:`poll`), never
     concurrently with it.
@@ -775,20 +707,15 @@ class CampaignExecution:
         self._summary: CampaignSummary | None = None
         self._error: BaseException | None = None
         self._finished = threading.Event()
-        self._lock = threading.Lock()
-        self._buffer: list[StudyEvent] = []
-        self._reader: EventLogReader | None = None
-        self._writer: EventLogWriter | None = None
         self._counts = {"total": len(campaign_cells(campaign)), "started": 0,
                         "finished": 0, "skipped": 0, "evaluations": 0}
-        if campaign.event_log:
-            self.output_dir.mkdir(parents=True, exist_ok=True)
-            log_path = self.output_dir / EVENT_LOG_NAME
-            # Tail from the current end: a resumed campaign appends to the
-            # previous run's durable log, and subscribers must only see this
-            # invocation's events.
-            self._reader = EventLogReader(log_path, start_at_end=True)
-            self._writer = EventLogWriter(log_path, origin="campaign")
+        self.output_dir.mkdir(parents=True, exist_ok=True)
+        log_path = self.output_dir / EVENT_LOG_NAME
+        # Tail from the current end: a resumed campaign appends to the
+        # previous run's durable log, and subscribers must only see this
+        # invocation's events.
+        self._reader = EventLogReader(log_path, start_at_end=True)
+        self._writer = EventLogWriter(log_path, origin="campaign")
         self._thread = threading.Thread(
             target=self._execute, name="repro-campaign", daemon=True
         )
@@ -801,24 +728,15 @@ class CampaignExecution:
         return self
 
     def _execute(self) -> None:
-        emit: EventCallback = self._writer.append if self._writer is not None else self._enqueue
         try:
             self._summary = _execute_campaign(
-                self.campaign,
-                self.output_dir,
-                emit,
-                EVENT_LOG_NAME if self._writer is not None else None,
+                self.campaign, self.output_dir, self._writer.append
             )
         except BaseException as error:  # re-raised by wait()
             self._error = error
         finally:
-            if self._writer is not None:
-                self._writer.close()
+            self._writer.close()
             self._finished.set()
-
-    def _enqueue(self, event: StudyEvent) -> None:
-        with self._lock:
-            self._buffer.append(event)
 
     # ------------------------------------------------------------------ #
     # Caller-side consumption
@@ -830,11 +748,7 @@ class CampaignExecution:
         :meth:`progress` counters — this is the single pump every other
         consumption method goes through.
         """
-        if self._reader is not None:
-            events = [record.event for record in self._reader.poll()]
-        else:
-            with self._lock:
-                events, self._buffer = self._buffer, []
+        events = [record.event for record in self._reader.poll()]
         for event in events:
             self._track(event)
             if self._on_event is not None:
@@ -842,9 +756,6 @@ class CampaignExecution:
         return events
 
     def _track(self, event: StudyEvent) -> None:
-        # Queued submissions (the no-log pool path, where worker-side starts
-        # are unobservable) count as started too: "running" then means
-        # "submitted and not yet finished", the closest observable truth.
         if event.kind == "shard_started":
             self._counts["started"] += 1
         elif event.kind == "shard_finished":
@@ -950,13 +861,9 @@ def run_campaign(
     per-iteration optimiser events from every cell, ``shard_finished`` with
     the cell's evaluation count and routing-cache counters (in completion
     order under a process pool), and ``campaign_finished`` with the folded
-    cache summary.  With the default ``campaign.event_log=True`` the stream
-    is identical for pooled and inline campaigns — workers append to the
-    durable ``events.jsonl`` next to the manifest and a tailer replays it
-    into ``on_event``.  With ``event_log=False`` events stay in-process:
-    inline campaigns still forward everything, but pool workers are silent
-    and the parent only reports submissions (``shard_started`` with
-    ``payload["queued"] = True``) and completions.
+    cache summary.  The stream is identical for pooled and inline campaigns
+    — every cell appends to the durable ``events.jsonl`` next to the
+    manifest and a tailer replays it into ``on_event``.
 
     This is the blocking front door: ``submit_campaign(...).wait()``.  Use
     :func:`submit_campaign` directly for the non-blocking handle.

@@ -23,8 +23,8 @@ Move deltas are *hints*, never trusted for correctness: the repair path
 recomputes the actual link diff between the cached parent tables and the
 design, so a stale or missing annotation can only cost a fresh build.  All
 three outcomes produce bit-identical tables (see the routing-engine property
-suite), which is what lets the evaluator's ``routing_cache`` flag toggle the
-engine without perturbing any objective value.
+suite), so serving every evaluation through the engine never perturbs an
+objective value.
 """
 
 from __future__ import annotations
@@ -46,9 +46,6 @@ class RoutingEngine:
         The tile grid shared by every design the engine serves.
     cache_size:
         Maximum number of cached topologies (LRU eviction; must be >= 1).
-    incremental:
-        When False, cache misses always rebuild from scratch even when a
-        usable parent delta is available (hits still apply).
     max_repair_fraction:
         A delta changing more than this fraction of the design's links falls
         back to a fresh build — with that many changed links most sources are
@@ -62,7 +59,6 @@ class RoutingEngine:
         self,
         grid: Grid3D,
         cache_size: int = 256,
-        incremental: bool = True,
         max_repair_fraction: float = 0.5,
     ):
         if cache_size < 1:
@@ -71,7 +67,6 @@ class RoutingEngine:
             raise ValueError("max_repair_fraction must lie in [0, 1]")
         self.grid = grid
         self.cache_size = int(cache_size)
-        self.incremental = incremental
         self.max_repair_fraction = max_repair_fraction
         self._cache: OrderedDict[tuple[Link, ...], RoutingTables] = OrderedDict()
         self.hits = 0
@@ -109,8 +104,7 @@ class RoutingEngine:
     def _build(self, design: NocDesign) -> RoutingTables:
         delta = move_delta_of(design)
         if (
-            self.incremental
-            and self.max_repair_fraction > 0.0
+            self.max_repair_fraction > 0.0
             and delta is not None
             and delta.parent_links != design.links
         ):

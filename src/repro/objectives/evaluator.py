@@ -8,12 +8,14 @@ Routing tables are shared by all objectives and owned by a single
 :class:`~repro.noc.routing_engine.RoutingEngine` instance per evaluator: the
 engine caches tables across *designs*, keyed on the link set alone, so
 placement-only children reuse their parent's tables wholesale and
-link-mutating children trigger an incremental all-pairs repair.  The
-``routing_cache=False`` escape hatch restores the pre-engine behaviour (one
-fresh table build per computed design).  On top of that topology tier, the
-evaluator memoises complete objective vectors per design key (LRU-bounded)
-and counts evaluations so experiments can report search effort; the engine's
-hit/miss/repair counters are exposed via :meth:`ObjectiveEvaluator.routing_cache_stats`.
+link-mutating children trigger an incremental all-pairs repair.  Every
+outcome (hit, repair or fresh build) yields tables bit-identical to a fresh
+:class:`~repro.noc.routing.RoutingTables` build, which the seeded
+routing-cache equivalence tests pin against a fresh-build evaluator.  On top
+of that topology tier, the evaluator memoises complete objective vectors per
+design key (LRU-bounded) and counts evaluations so experiments can report
+search effort; the engine's hit/miss/repair counters are exposed via
+:meth:`ObjectiveEvaluator.routing_cache_stats`.
 
 Batch evaluation
 ----------------
@@ -111,15 +113,11 @@ class ObjectiveEvaluator:
         Which objectives to report (defaults to the 5-objective scenario).
     cache_size:
         Maximum number of memoised designs (0 disables caching).
-    routing_cache:
-        When True (the default) routing tables come from the evaluator's own
-        :class:`~repro.noc.routing_engine.RoutingEngine`, which caches them
-        across designs by link set and repairs them incrementally for small
-        link deltas.  ``False`` is the escape hatch selecting the historical
-        fresh-build-per-design path; both settings produce bit-identical
-        objective vectors.
     routing_cache_size:
-        Maximum number of cached topologies in the routing engine.
+        Maximum number of cached topologies in the evaluator's own
+        :class:`~repro.noc.routing_engine.RoutingEngine`, which caches
+        routing tables across designs by link set and repairs them
+        incrementally for small link deltas.
     scenario_model:
         Optional fault/scenario model (see :mod:`repro.scenarios`) applied
         pre-evaluation: workload and thermal transforms run once here,
@@ -138,7 +136,6 @@ class ObjectiveEvaluator:
         workload: Workload,
         scenario: ObjectiveScenario = SCENARIO_5OBJ,
         cache_size: int = 50_000,
-        routing_cache: bool = True,
         routing_cache_size: int = 256,
         scenario_model: "ScenarioModel | None" = None,
         scenario_seed: int = 0,
@@ -157,11 +154,7 @@ class ObjectiveEvaluator:
             self.thermal_model = scenario_model.transform_thermal(self.thermal_model)
         self.cache_size = int(cache_size)
         self._cache: OrderedDict[tuple, np.ndarray] = OrderedDict()
-        self.routing_engine: RoutingEngine | None = (
-            RoutingEngine(self.config.grid, cache_size=routing_cache_size)
-            if routing_cache
-            else None
-        )
+        self.routing_engine = RoutingEngine(self.config.grid, cache_size=routing_cache_size)
         self.evaluations = 0
         self.cache_hits = 0
 
@@ -265,17 +258,11 @@ class ObjectiveEvaluator:
         return np.array([values[name] for name in self.scenario.objectives], dtype=np.float64)
 
     def routing_cache_stats(self) -> dict[str, "int | float | bool"]:
-        """The routing engine's counters (all zero with ``routing_cache=False``)."""
-        if self.routing_engine is None:
-            return {
-                "enabled": False,
-                "hits": 0,
-                "misses": 0,
-                "incremental_repairs": 0,
-                "requests": 0,
-                "hit_rate": 0.0,
-                "cached_topologies": 0,
-            }
+        """The routing engine's counters.
+
+        ``enabled`` is always true; it stays in the record so shard and
+        manifest ``routing_cache`` entries keep their historical key set.
+        """
         return {"enabled": True, **self.routing_engine.stats()}
 
     def full_report(self, design: NocDesign) -> dict[str, float]:
@@ -298,10 +285,8 @@ class ObjectiveEvaluator:
     # Internals
     # ------------------------------------------------------------------ #
     def _routing(self, design: NocDesign) -> RoutingTables:
-        """Routing tables for a design: engine-cached, or fresh when disabled."""
-        if self.routing_engine is not None:
-            return self.routing_engine.tables(design)
-        return RoutingTables(design, self.config.grid)
+        """Routing tables for a design, served by the evaluator's routing engine."""
+        return self.routing_engine.tables(design)
 
     def _scenario_design(self, design: NocDesign) -> NocDesign:
         """The design actually evaluated: scenario-faulted, or the nominal one."""

@@ -35,15 +35,9 @@ if TYPE_CHECKING:
 #: what ``repro.experiments.runner.ALGORITHMS`` re-exports.
 BUILTIN_ALGORITHMS: tuple[str, ...] = ("MOELA", "MOEA/D", "MOOS", "MOO-STAGE", "NSGA-II")
 
-_BATCH_EVALUATION_DOC = (
-    "False selects the scalar reference evaluation path (the equivalence oracle)"
-)
-
-
 def _moela_factory(
     problem: "Problem", experiment: "ExperimentConfig", seed: int, **options: Any
 ) -> MOELA:
-    batch_evaluation = bool(options.pop("batch_evaluation", True))
     population_size = int(options.pop("population_size", experiment.population_size))
     settings: dict[str, Any] = dict(
         population_size=population_size,
@@ -62,7 +56,7 @@ def _moela_factory(
         seed=seed,
     )
     settings.update(options)
-    return MOELA(problem, MOELAConfig(**settings), rng=seed, batch_evaluation=batch_evaluation)
+    return MOELA(problem, MOELAConfig(**settings), rng=seed)
 
 
 def _moead_factory(
@@ -121,7 +115,6 @@ _LOCAL_SEARCH_HYPERPARAMETERS = {
     "early_random_iterations": "iterations with random restart selection",
     "max_training_samples": "cap on the trajectory training set",
     "forest_size": "random-forest size of the learned restart model",
-    "batch_evaluation": _BATCH_EVALUATION_DOC,
 }
 
 register_optimizer(
@@ -143,7 +136,6 @@ register_optimizer(
             "max_training_samples": "cap on the trajectory training set |S_train|",
             "forest_size": "Eval random-forest size",
             "forest_depth": "Eval random-forest depth",
-            "batch_evaluation": _BATCH_EVALUATION_DOC,
         },
     ),
     overwrite=True,
@@ -198,7 +190,6 @@ register_optimizer(
             "population_size": "population size N",
             "crossover_probability": "per-offspring crossover probability",
             "mutation_probability": "per-offspring mutation probability",
-            "batch_evaluation": _BATCH_EVALUATION_DOC,
         },
     ),
     overwrite=True,

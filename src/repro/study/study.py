@@ -100,7 +100,6 @@ _STUDY_KEYS: tuple[str, ...] = (
     "evaluations",
     "scenarios",
     "seed",
-    "routing_cache",
     "campaign",
 )
 
@@ -108,7 +107,6 @@ _CAMPAIGN_KEYS: tuple[str, ...] = (
     "output_dir",
     "max_workers",
     "resume",
-    "event_log",
     "repair_infeasible",
     "repair_max_rounds",
     "repair_candidates_per_round",
@@ -187,9 +185,6 @@ class Study:
         e.g. ``"link_failure(k=1,mode=remove)"``; see :mod:`repro.scenarios`).
         Validated at build time; campaign mode only — the default is the
         single nominal ``identity`` axis.
-    routing_cache:
-        ``False`` disables the cross-design routing engine (escape hatch;
-        results are bit-identical either way).
     """
 
     def __init__(
@@ -202,7 +197,6 @@ class Study:
         evaluations: "int | None" = None,
         seed: "int | None" = None,
         scenarios: "tuple[str, ...] | list[str] | None" = None,
-        routing_cache: bool = True,
     ):
         if preset not in PRESETS:
             raise ValueError(f"unknown preset {preset!r}; available: {', '.join(sorted(PRESETS))}")
@@ -214,7 +208,6 @@ class Study:
         self._evaluations = evaluations
         self._seed = seed
         self._scenarios = self._normalize_scenarios(scenarios)
-        self._routing_cache = bool(routing_cache)
         self._algorithms: list[_AlgorithmEntry] = []
         self._campaign: "dict[str, Any] | None" = None
         self._on_event: EventCallback | None = None
@@ -284,11 +277,6 @@ class Study:
         self._seed = int(seed)
         return self
 
-    def routing_cache(self, enabled: bool) -> "Study":
-        """Toggle the cross-design routing cache (performance only)."""
-        self._routing_cache = bool(enabled)
-        return self
-
     @staticmethod
     def _normalize_scenarios(
         scenarios: "tuple[str, ...] | list[str] | None",
@@ -317,7 +305,6 @@ class Study:
         output_dir: "str | Path",
         max_workers: int = 1,
         resume: bool = True,
-        event_log: bool = True,
         repair_infeasible: bool = False,
         repair_max_rounds: int = 4,
         repair_candidates_per_round: int = 8,
@@ -325,18 +312,17 @@ class Study:
     ) -> "Study":
         """Execute as a sharded, resumable campaign instead of inline runs.
 
-        ``event_log=True`` (the default) streams every cell's events —
-        pooled or inline — through the durable ``events.jsonl`` next to the
-        manifest; it is also what :meth:`submit`'s non-blocking handle tails.
-        ``repair_infeasible`` and the ``repair_*`` budget keys control the
-        opt-in directed feasibility repair path inside every cell (see
+        Every cell's events — pooled or inline — stream through the durable
+        ``events.jsonl`` next to the manifest; it is also what
+        :meth:`submit`'s non-blocking handle tails.  ``repair_infeasible``
+        and the ``repair_*`` budget keys control the opt-in directed
+        feasibility repair path inside every cell (see
         :class:`~repro.experiments.config.CampaignConfig`).
         """
         self._campaign = {
             "output_dir": str(output_dir),
             "max_workers": int(max_workers),
             "resume": bool(resume),
-            "event_log": bool(event_log),
             "repair_infeasible": bool(repair_infeasible),
             "repair_max_rounds": int(repair_max_rounds),
             "repair_candidates_per_round": int(repair_candidates_per_round),
@@ -377,7 +363,6 @@ class Study:
             evaluations=_typed(payload, "evaluations", int, None),
             seed=_typed(payload, "seed", int, None),
             scenarios=payload.get("scenarios"),
-            routing_cache=_typed(payload, "routing_cache", bool, True),
         )
         for entry in payload.get("algorithms", ()):
             if isinstance(entry, str):
@@ -406,7 +391,6 @@ class Study:
                 campaign["output_dir"],
                 max_workers=_typed(campaign, "max_workers", int, 1),
                 resume=_typed(campaign, "resume", bool, True),
-                event_log=_typed(campaign, "event_log", bool, True),
                 repair_infeasible=_typed(campaign, "repair_infeasible", bool, False),
                 repair_max_rounds=_typed(campaign, "repair_max_rounds", int, 4),
                 repair_candidates_per_round=_typed(
@@ -466,16 +450,12 @@ class Study:
             payload["seed"] = self._seed
         if self._scenarios is not None:
             payload["scenarios"] = list(self._scenarios)
-        if not self._routing_cache:
-            payload["routing_cache"] = False
         if self._campaign is not None:
             campaign = dict(self._campaign)
             if campaign.get("resume") is True:
                 del campaign["resume"]
             if campaign.get("max_workers") == 1:
                 del campaign["max_workers"]
-            if campaign.get("event_log") is True:
-                del campaign["event_log"]
             if campaign.get("repair_infeasible") is False:
                 # Repair off is the default; dropping the whole block keeps
                 # pre-repair study files byte-identical.
@@ -537,8 +517,6 @@ class Study:
             algorithms=tuple(entry.name for entry in entries),
             max_workers=self._campaign["max_workers"],
             resume=self._campaign["resume"],
-            routing_cache=self._routing_cache,
-            event_log=self._campaign.get("event_log", True),
             repair_infeasible=self._campaign.get("repair_infeasible", False),
             repair_max_rounds=self._campaign.get("repair_max_rounds", 4),
             repair_candidates_per_round=self._campaign.get("repair_candidates_per_round", 8),
@@ -579,9 +557,7 @@ class Study:
         runs: RunMap = {}
         for application in experiment.applications:
             for num_objectives in experiment.objective_counts:
-                problem = make_problem(
-                    experiment, application, num_objectives, routing_cache=self._routing_cache
-                )
+                problem = make_problem(experiment, application, num_objectives)
                 group: dict[str, OptimizationResult] = {}
                 for entry in entries:
                     # budget=None defers to the spec's default budget wiring

@@ -69,13 +69,6 @@ class TestRoutingCacheStats:
         manifest = load_manifest(summary.output_dir)
         assert manifest["routing_cache"] == summary.routing_cache
 
-    def test_escape_hatch_disables_engine_in_cells(self, campaign, tmp_path):
-        disabled = replace(campaign, routing_cache=False)
-        summary = run_campaign(disabled, tmp_path)
-        manifest = load_manifest(summary.output_dir)
-        stats = manifest["routing_cache"]
-        assert stats["requests"] == 0 and stats["hit_rate"] == 0.0
-
     def test_each_cell_owns_its_routing_engine(self, finished_campaign):
         """A shard's counters equal those of the same cell run on its own:
         no routing state crosses from one cell to the next."""
@@ -194,19 +187,6 @@ class TestRoutingCacheStats:
         stats = aggregate_routing_cache_stats(summary.output_dir, cells)
         assert stats["cells_counted"] == len(cells) - 1
         assert stats["cells_missing_stats"] == 1
-
-    def test_routing_cache_flag_does_not_change_results(self, campaign, tmp_path):
-        on = run_campaign(campaign, tmp_path / "on")
-        off = run_campaign(replace(campaign, routing_cache=False), tmp_path / "off")
-        for cell in on.cells:
-            payload_on = json.loads((on.output_dir / cell.shard_name).read_text())
-            payload_off = json.loads((off.output_dir / cell.shard_name).read_text())
-            np.testing.assert_allclose(
-                np.asarray(payload_on["objectives"]),
-                np.asarray(payload_off["objectives"]),
-                rtol=1e-12,
-            )
-            assert payload_on["designs"] == payload_off["designs"]
 
 
 class TestAggregateCampaign:

@@ -52,6 +52,11 @@ class TestCampaignCells:
         with pytest.raises(ValueError):
             CampaignConfig(experiment=ExperimentConfig.smoke(), max_evaluations=0)
 
+    @pytest.mark.parametrize("field", ["routing_cache", "event_log"])
+    def test_removed_switches_rejected(self, field):
+        with pytest.raises(TypeError, match=field):
+            CampaignConfig(experiment=ExperimentConfig.smoke(), **{field: False})
+
     def test_empty_algorithms_means_all(self, campaign):
         cells = campaign_cells(replace(campaign, algorithms=()))
         assert {c.algorithm for c in cells} == {"MOELA", "MOEA/D", "MOOS", "MOO-STAGE", "NSGA-II"}

@@ -1,10 +1,11 @@
 """Integration tests for async campaign execution over the durable event log.
 
-Covers the tentpole acceptance criteria: a pooled campaign streams
-shard/iteration events to the caller through the manifest-side JSONL log,
-seeded results are bit-identical with the log on or off (rtol=0), the
-non-blocking submit/poll handle works, and a killed + resumed campaign's log
-replays a consistent, monotonic event sequence.
+Every campaign writes the durable log.  Covered here: a pooled campaign
+streams shard/iteration events to the caller through the manifest-side JSONL
+log, an inline campaign's log carries every cell's events, logged cells are
+bit-identical (rtol=0) to standalone runs of the same cells, the non-blocking
+submit/poll handle works, and a killed + resumed campaign's log replays a
+consistent, monotonic event sequence.
 """
 
 from dataclasses import replace
@@ -16,9 +17,12 @@ from repro.experiments.config import CampaignConfig, ExperimentConfig
 from repro.experiments.runner import (
     campaign_cells,
     load_campaign_results,
+    make_problem,
+    run_algorithm,
     run_campaign,
     submit_campaign,
 )
+from repro.moo.termination import Budget
 from repro.study.event_log import EVENT_LOG_NAME, read_event_log
 from repro.study.events import StudyEvent
 
@@ -98,17 +102,6 @@ class TestPooledEventStream:
         for cell in campaign_cells(campaign):
             assert _cell_stream(inline_events, cell.key) == _cell_stream(pooled_events, cell.key)
 
-    def test_pool_without_log_keeps_legacy_submission_events(self, campaign, tmp_path):
-        events: list[StudyEvent] = []
-        run_campaign(
-            replace(campaign, max_workers=2, event_log=False), tmp_path, on_event=events.append
-        )
-        kinds = [e.kind for e in events]
-        assert "iteration" not in kinds  # callbacks cannot cross the pool
-        started = [e for e in events if e.kind == "shard_started"]
-        assert len(started) == 4 and all(e.payload.get("queued") for e in started)
-        assert not (tmp_path / EVENT_LOG_NAME).exists()
-
     def test_shard_finished_events_carry_counters(self, campaign, tmp_path):
         events: list[StudyEvent] = []
         run_campaign(replace(campaign, max_workers=2), tmp_path, on_event=events.append)
@@ -119,18 +112,45 @@ class TestPooledEventStream:
             assert event.payload["routing_cache"]["requests"] > 0
 
 
-class TestEventLogDeterminism:
-    def test_results_bit_identical_with_log_on_or_off(self, campaign, tmp_path):
-        """Acceptance criterion at rtol=0: the log is observation-only."""
-        run_campaign(replace(campaign, event_log=True, max_workers=2), tmp_path / "on")
-        run_campaign(replace(campaign, event_log=False), tmp_path / "off")
-        on = {c.key: r for c, r in load_campaign_results(tmp_path / "on")}
-        off = {c.key: r for c, r in load_campaign_results(tmp_path / "off")}
-        assert on.keys() == off.keys()
-        for key in on:
-            np.testing.assert_array_equal(on[key].objectives, off[key].objectives)
-            np.testing.assert_array_equal(on[key].final_front(), off[key].final_front())
-            assert on[key].evaluations == off[key].evaluations
+class TestInlineCampaignLog:
+    def test_inline_campaign_logs_every_cell(self, campaign, tmp_path):
+        """Inline cells append to the same durable log pooled workers use."""
+        run_campaign(campaign, tmp_path)
+        records = read_event_log(tmp_path / EVENT_LOG_NAME)
+        assert_consistent_replay(records)
+        events = [record.event for record in records]
+        assert events[0].kind == "campaign_started" and events[-1].kind == "campaign_finished"
+        for cell in campaign_cells(campaign):
+            kinds = _cell_stream(events, cell.key)
+            assert kinds[:2] == ["shard_started", "run_started"]
+            assert kinds[-2:] == ["run_finished", "shard_finished"]
+            assert "iteration" in kinds
+
+    def test_logged_cells_match_standalone_runs(self, campaign, tmp_path):
+        """The log is observation-only: at rtol=0, every shard equals a
+        standalone run of its cell with no subscriber attached."""
+        run_campaign(campaign, tmp_path)
+        experiment = campaign.experiment
+        shards = dict(load_campaign_results(tmp_path))
+        assert len(shards) == len(campaign_cells(campaign))
+        for cell, logged in shards.items():
+            problem = make_problem(
+                experiment,
+                cell.application,
+                cell.num_objectives,
+                scenario_model=cell.scenario,
+                scenario_seed=cell.seed,
+            )
+            standalone = run_algorithm(
+                cell.algorithm,
+                problem,
+                experiment,
+                budget=Budget.evaluations(campaign.cell_budget),
+                seed=cell.seed,
+            )
+            np.testing.assert_array_equal(logged.objectives, standalone.objectives)
+            assert [d.key() for d in logged.designs] == [d.key() for d in standalone.designs]
+            assert logged.evaluations == standalone.evaluations
 
 
 class TestCampaignExecutionHandle:
@@ -161,17 +181,6 @@ class TestCampaignExecutionHandle:
         execution.wait(timeout=600)
         assert [e.kind for e in events][0] == "campaign_started"
         assert [e.kind for e in events][-1] == "campaign_finished"
-
-    def test_progress_counts_queued_submissions_without_the_log(self, campaign, tmp_path):
-        """In the no-log pool path worker-side starts are unobservable, so
-        queued submissions must count as started — otherwise 'running' would
-        read 0 for the whole campaign."""
-        execution = submit_campaign(
-            replace(campaign, max_workers=2, event_log=False), tmp_path
-        )
-        execution.wait(timeout=600)
-        final = execution.progress()
-        assert final["executed"] == 4 and final["running"] == 0 and final["finished"]
 
     def test_wait_reraises_campaign_errors(self, campaign, tmp_path):
         run_campaign(campaign, tmp_path)

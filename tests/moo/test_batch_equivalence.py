@@ -1,13 +1,12 @@
 """Seeded batch-vs-scalar equivalence for the baseline optimisers.
 
 Every baseline (NSGA-II, MOOS, MOO-STAGE) scores its broods through one
-``evaluate_many`` batch call on the hot path, but keeps the pre-batch scalar
-implementation (one ``evaluate`` call per design) as a ``*_reference`` twin
-selected by ``batch_evaluation=False``.  These tests pin the contract that
-makes the vectorised engine trustworthy: with the same RNG seed, both paths
-must produce *identical* design trajectories, objective matrices and
-evaluation counts — including when the evaluation budget exhausts in the
-middle of a brood.
+``evaluate_many`` batch call.  The pre-batch scalar implementation (one
+``evaluate`` call per design) lives on as a test-side twin in
+:mod:`tests.oracles`.  These tests pin the contract that makes the vectorised
+engine trustworthy: with the same RNG seed, both paths must produce
+*identical* design trajectories, objective matrices and evaluation counts —
+including when the evaluation budget exhausts in the middle of a brood.
 """
 
 import numpy as np
@@ -18,19 +17,24 @@ from repro.moo.moos import MOOS
 from repro.moo.nsga2 import NSGA2
 from repro.moo.termination import Budget
 from tests.moo.toyproblem import GridAnchorProblem
+from tests.oracles import ScalarMOELA, ScalarMOOS, ScalarMOOStage, ScalarNSGA2
 
 #: Local-search shapes for the two STAGE-style baselines, small enough that a
 #: run takes milliseconds but large enough that model training kicks in.
 SEARCH_SHAPE = dict(searches_per_iteration=2, local_search_steps=3, neighbors_per_step=3)
 
 
-def make_optimizer(cls, batch_evaluation: bool, num_objectives: int = 3, seed: int = 42):
+#: Each batched optimiser's scalar twin (the equivalence oracle).
+SCALAR_TWIN = {NSGA2: ScalarNSGA2, MOOS: ScalarMOOS, MOOStage: ScalarMOOStage}
+
+
+def make_optimizer(cls, batched: bool, num_objectives: int = 3, seed: int = 42):
     kwargs = {} if cls is NSGA2 else dict(SEARCH_SHAPE)
-    return cls(
+    optimizer_cls = cls if batched else SCALAR_TWIN[cls]
+    return optimizer_cls(
         GridAnchorProblem(num_objectives),
         population_size=8,
         rng=seed,
-        batch_evaluation=batch_evaluation,
         **kwargs,
     )
 
@@ -114,16 +118,17 @@ class TestEvaluationAccounting:
 
     def test_nsga2_counts_per_iteration_are_pinned(self):
         expected = [8, 16, 24, 32, 35]  # init + three full broods + trimmed brood
-        for batch_evaluation in (True, False):
-            optimizer = make_optimizer(NSGA2, batch_evaluation)
+        for batched in (True, False):
+            optimizer = make_optimizer(NSGA2, batched)
             result = optimizer.run(Budget.evaluations(35))
             assert [snap.evaluations for snap in result.history] == expected
             assert result.evaluations == 35
 
     def test_nsga2_never_overshoots_evaluation_budget(self):
-        for batch_evaluation in (True, False):
+        for batched in (True, False):
             problem = GridAnchorProblem(3)
-            optimizer = NSGA2(problem, population_size=8, rng=5, batch_evaluation=batch_evaluation)
+            optimizer_cls = NSGA2 if batched else ScalarNSGA2
+            optimizer = optimizer_cls(problem, population_size=8, rng=5)
             result = optimizer.run(Budget.evaluations(50))
             assert result.evaluations == 50
             assert problem.eval_count == 50
@@ -131,10 +136,16 @@ class TestEvaluationAccounting:
     @pytest.mark.parametrize("cls", [MOOS, MOOStage])
     def test_stage_counts_match_problem_counter(self, cls):
         """The optimiser's evaluation counter and the problem's agree exactly."""
-        for batch_evaluation in (True, False):
-            optimizer = make_optimizer(cls, batch_evaluation)
+        for batched in (True, False):
+            optimizer = make_optimizer(cls, batched)
             result = optimizer.run(Budget.evaluations(60))
             assert result.evaluations == optimizer.problem.eval_count
+
+    @pytest.mark.parametrize("cls", [NSGA2, MOOS, MOOStage])
+    def test_batch_evaluation_switch_is_gone(self, cls):
+        """Batched scoring is the only library path; the old switch is a TypeError."""
+        with pytest.raises(TypeError, match="batch_evaluation"):
+            cls(GridAnchorProblem(3), population_size=8, rng=0, batch_evaluation=False)
 
     def test_brood_limit_contract(self):
         optimizer = make_optimizer(NSGA2, True)
@@ -152,13 +163,8 @@ class TestMoelaEquivalence:
         from repro.core.moela import MOELA
 
         results = []
-        for batch_evaluation in (True, False):
-            optimizer = MOELA(
-                GridAnchorProblem(3),
-                MOELAConfig.smoke(),
-                rng=42,
-                batch_evaluation=batch_evaluation,
-            )
+        for optimizer_cls in (MOELA, ScalarMOELA):
+            optimizer = optimizer_cls(GridAnchorProblem(3), MOELAConfig.smoke(), rng=42)
             results.append(optimizer.run(Budget.evaluations(90)))
         assert_trajectories_identical(*results)
 
@@ -177,11 +183,9 @@ class TestNocProblemEquivalence:
 
         experiment = ExperimentConfig.smoke()
         results = []
-        for batch_evaluation in (True, False):
+        for optimizer_cls in (NSGA2, ScalarNSGA2):
             problem = make_problem(experiment, "BFS", 3)
-            optimizer = NSGA2(
-                problem, population_size=6, rng=9, batch_evaluation=batch_evaluation
-            )
+            optimizer = optimizer_cls(problem, population_size=6, rng=9)
             results.append(optimizer.run(Budget.evaluations(45)))
         batched, scalar = results
         assert [d.key() for d in batched.designs] == [d.key() for d in scalar.designs]

@@ -1,11 +1,11 @@
-"""Seeded routing-cache on/off equivalence for every baseline optimiser.
+"""Seeded routing-engine vs fresh-build equivalence for every baseline optimiser.
 
 The RoutingEngine changes *how* routing tables are obtained (cache hit,
 incremental repair, fresh build) but must never change a single route, so a
-seeded run with ``routing_cache=True`` has to reproduce the
-``routing_cache=False`` (historical fresh-build) run exactly: identical design
-trajectories, objective matrices (rtol=1e-12) and evaluation counts across
-NSGA-II, MOOS, MOO-STAGE and MOELA, plus the MOEA/D baseline.
+seeded run on the engine has to reproduce a run scored by the fresh-build
+oracle (:class:`tests.oracles.FreshRoutingEvaluator`) exactly: identical
+design trajectories, objective matrices (rtol=1e-12) and evaluation counts
+across NSGA-II, MOOS, MOO-STAGE and MOELA, plus the MOEA/D baseline.
 """
 
 import numpy as np
@@ -19,6 +19,7 @@ from repro.moo.moo_stage import MOOStage
 from repro.moo.moos import MOOS
 from repro.moo.nsga2 import NSGA2
 from repro.moo.termination import Budget
+from tests.oracles import fresh_routing_problem
 
 SEARCH_SHAPE = dict(searches_per_iteration=2, local_search_steps=3, neighbors_per_step=2)
 
@@ -37,8 +38,8 @@ def make_optimizer(name: str, problem: NocDesignProblem, seed: int):
     raise ValueError(name)
 
 
-def run_with_routing_cache(name: str, workload, enabled: bool, seed: int, budget: int):
-    problem = NocDesignProblem(workload, scenario=3, routing_cache=enabled)
+def run_with_routing_cache(name: str, workload, engine: bool, seed: int, budget: int):
+    problem = NocDesignProblem(workload, scenario=3) if engine else fresh_routing_problem(workload)
     optimizer = make_optimizer(name, problem, seed)
     result = optimizer.run(Budget.evaluations(budget))
     return result, problem
@@ -66,9 +67,8 @@ class TestRoutingCacheEquivalence:
         stats = problem_on.routing_cache_stats()
         assert stats["enabled"] and stats["requests"] > 0
         assert stats["hits"] + stats["incremental_repairs"] > 0
-        # ...and the escape hatch must have bypassed it entirely.
-        off_stats = problem_off.routing_cache_stats()
-        assert not off_stats["enabled"] and off_stats["requests"] == 0
+        # ...and the fresh-build oracle must have bypassed it entirely.
+        assert problem_off.routing_cache_stats()["requests"] == 0
 
     def test_moead_baseline_identical(self, tiny_workload):
         result_on, _ = run_with_routing_cache("MOEA/D", tiny_workload, True, 9, 120)
@@ -80,11 +80,3 @@ class TestRoutingCacheEquivalence:
         result, problem = run_with_routing_cache(name, tiny_workload, True, 5, 60)
         assert result.metadata["routing_cache"] == problem.routing_cache_stats()
         assert result.metadata["routing_cache"]["enabled"]
-
-    def test_scalar_and_batch_paths_share_the_engine(self, tiny_workload):
-        """batch_evaluation=False still routes through the same engine instance."""
-        problem = NocDesignProblem(tiny_workload, scenario=3, routing_cache=True)
-        optimizer = NSGA2(problem, population_size=6, rng=4, batch_evaluation=False)
-        optimizer.run(Budget.evaluations(80))
-        stats = problem.routing_cache_stats()
-        assert stats["requests"] > 0 and stats["hits"] > 0

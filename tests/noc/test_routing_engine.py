@@ -135,16 +135,6 @@ class TestRoutingEngine:
         assert engine.tables_for_links(designs[0].links) is None
         assert engine.tables_for_links(designs[-1].links) is not None
 
-    def test_incremental_false_disables_repairs(self, small_config, rng):
-        engine = RoutingEngine(small_config.grid, incremental=False)
-        moves = MoveGenerator(small_config)
-        design = random_design(small_config, rng)
-        engine.tables(design)
-        rewired = moves.rewire_link(design, rng)
-        engine.tables(rewired)
-        assert engine.incremental_repairs == 0
-        assert engine.misses == 2
-
     def test_zero_repair_fraction_disables_repairs(self, small_config, rng):
         engine = RoutingEngine(small_config.grid, max_repair_fraction=0.0)
         moves = MoveGenerator(small_config)

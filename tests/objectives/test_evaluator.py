@@ -15,6 +15,7 @@ from repro.objectives.evaluator import (
     scenario_for,
 )
 from repro.scenarios.registry import parse_scenario
+from tests.oracles import FreshRoutingEvaluator
 
 
 class TestScenarios:
@@ -154,7 +155,7 @@ class TestBatchPath:
         parent = random_design(tiny_workload.config, 7)
         brood = _brood(tiny_workload, parent)
         batch = [parent] + brood + [brood[0], parent]
-        fresh = ObjectiveEvaluator(tiny_workload, SCENARIO_5OBJ, cache_size=0, routing_cache=False)
+        fresh = FreshRoutingEvaluator(tiny_workload, SCENARIO_5OBJ, cache_size=0)
         expected = np.stack([fresh.evaluate(design) for design in batch])
         evaluator = ObjectiveEvaluator(tiny_workload, SCENARIO_5OBJ, cache_size=0)
         np.testing.assert_array_equal(evaluator.evaluate_many(batch), expected)
@@ -178,19 +179,10 @@ class TestBatchPath:
         second.evaluate_many(batch)
         assert second.routing_cache_stats() == stats
 
-    def test_routing_cache_stats_without_engine_are_zero(self, tiny_workload):
-        evaluator = ObjectiveEvaluator(tiny_workload, SCENARIO_3OBJ, routing_cache=False)
-        evaluator.evaluate(random_design(tiny_workload.config, 10))
-        assert evaluator.routing_engine is None
-        assert evaluator.routing_cache_stats() == {
-            "enabled": False,
-            "hits": 0,
-            "misses": 0,
-            "incremental_repairs": 0,
-            "requests": 0,
-            "hit_rate": 0.0,
-            "cached_topologies": 0,
-        }
+    def test_routing_cache_switch_is_gone(self, tiny_workload):
+        """Every evaluator owns an engine; the old opt-out is a TypeError."""
+        with pytest.raises(TypeError, match="routing_cache"):
+            ObjectiveEvaluator(tiny_workload, SCENARIO_3OBJ, routing_cache=False)
 
     def test_second_pass_over_the_same_designs_only_hits(self, tiny_workload, tiny_designs):
         """With the objective cache off every evaluation routes; the engine

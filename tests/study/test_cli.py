@@ -79,6 +79,12 @@ class TestRun:
         assert code == 2
         assert "available: MOELA" in capsys.readouterr().err
 
+    def test_removed_no_routing_cache_flag_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["run", "--preset", "smoke", "--no-routing-cache", "--no-progress"])
+        assert excinfo.value.code == 2
+        assert "--no-routing-cache" in capsys.readouterr().err
+
     def test_unknown_config_key_fails_cleanly(self, tmp_path, capsys):
         config = tmp_path / "study.json"
         config.write_text(json.dumps({"preset": "smoke", "colour": "blue"}))
@@ -234,37 +240,6 @@ class TestCampaignAndTables:
         }))
         assert main(["compact", "--output-dir", str(tmp_path)]) == 1
         assert "no completed cells" in capsys.readouterr().err
-
-    def test_campaign_config_event_log_false_is_honored(self, tmp_path, capsys):
-        """A config file's `campaign.event_log = false` must survive the CLI's
-        settings plumbing (flags merely override, never silently reset)."""
-        config = tmp_path / "study.json"
-        config.write_text(json.dumps({
-            "preset": "smoke",
-            "applications": ["BFS"],
-            "algorithms": ["NSGA-II"],
-            "evaluations": 30,
-            "campaign": {"output_dir": str(tmp_path / "out"), "event_log": False},
-        }))
-        assert main(["campaign", "--config", str(config), "--no-progress"]) == 0
-        assert (tmp_path / "out" / "manifest.json").exists()
-        assert not (tmp_path / "out" / "events.jsonl").exists()
-
-    def test_follow_overrides_config_event_log_false(self, tmp_path, capsys):
-        """--follow streams the durable log by definition, so the explicit
-        flag outranks a config file's campaign.event_log = false."""
-        config = tmp_path / "study.json"
-        config.write_text(json.dumps({
-            "preset": "smoke",
-            "applications": ["BFS"],
-            "algorithms": ["NSGA-II"],
-            "evaluations": 30,
-            "campaign": {"output_dir": str(tmp_path / "out"), "event_log": False},
-        }))
-        assert main(["campaign", "--config", str(config), "--follow"]) == 0
-        out = capsys.readouterr().out
-        assert "enables the event log" in out
-        assert (tmp_path / "out" / "events.jsonl").exists()
 
     def test_campaign_config_unknown_campaign_key_fails_cleanly(self, tmp_path, capsys):
         config = tmp_path / "study.json"

@@ -53,6 +53,13 @@ class TestStudyValidation:
         with pytest.raises(ValueError, match="unknown hyperparameters"):
             smoke_study().algorithm("nsga2", warp_factor=9)
 
+    @pytest.mark.parametrize("name", ["MOELA", "MOOS", "MOO-STAGE", "NSGA-II"])
+    def test_removed_batch_evaluation_option_raises(self, name):
+        with pytest.raises(ValueError, match=r"unknown hyperparameters \['batch_evaluation'\]"):
+            Study.from_dict(
+                {"algorithms": [{"name": name, "options": {"batch_evaluation": False}}]}
+            )
+
     def test_duplicate_algorithm_rejected(self):
         with pytest.raises(ValueError, match="already part of the study"):
             smoke_study().algorithm("moead").algorithm("MOEA/D")
@@ -65,18 +72,23 @@ class TestStudyValidation:
         with pytest.raises(ValueError, match="unknown study keys"):
             Study.from_dict({"preset": "smoke", "colour": "blue"})
 
+    def test_from_dict_removed_routing_cache_key_raises(self):
+        with pytest.raises(ValueError, match=r"unknown study keys \['routing_cache'\]"):
+            Study.from_dict({"preset": "smoke", "routing_cache": False})
+
     def test_from_dict_unknown_algorithm_raises(self):
         with pytest.raises(ValueError, match="available: MOELA"):
             Study.from_dict({"algorithms": ["NOPE"]})
 
     @pytest.mark.parametrize(
-        "key", ["turbo", "parallel_evaluation", "shared_routing_cache", "routing_warm_start"]
+        "key",
+        ["turbo", "parallel_evaluation", "shared_routing_cache", "routing_warm_start", "event_log"],
     )
     def test_from_dict_unknown_campaign_key_raises(self, key):
         with pytest.raises(ValueError, match=rf"unknown campaign keys \['{key}'\]"):
             Study.from_dict({"campaign": {"output_dir": "x", key: True}})
 
-    @pytest.mark.parametrize("key", ["shared_routing_cache", "routing_warm_start"])
+    @pytest.mark.parametrize("key", ["shared_routing_cache", "routing_warm_start", "event_log"])
     def test_campaign_rejects_removed_routing_parameters(self, key, tmp_path):
         with pytest.raises(TypeError, match=key):
             smoke_study().campaign(tmp_path, **{key: True})
@@ -84,11 +96,9 @@ class TestStudyValidation:
     @pytest.mark.parametrize(
         "payload, key, value",
         [
-            ({"routing_cache": "false"}, "routing_cache", "'false'"),
             ({"seed": 1.5}, "seed", "1.5"),
             ({"evaluations": True}, "evaluations", "True"),
             ({"campaign": {"output_dir": "x", "resume": "false"}}, "resume", "'false'"),
-            ({"campaign": {"output_dir": "x", "event_log": "no"}}, "event_log", "'no'"),
             ({"campaign": {"output_dir": "x", "repair_infeasible": 1}}, "repair_infeasible", "1"),
             ({"campaign": {"output_dir": "x", "max_workers": 2.9}}, "max_workers", "2.9"),
             ({"campaign": {"output_dir": "x", "max_workers": True}}, "max_workers", "True"),
